@@ -89,7 +89,6 @@ let to_transport = function
 type mode_flag = {
   mf_what : string;  (* prose subject, e.g. "Repair scheduler" *)
   mf_values : string;  (* value vocabulary, shared by both renderings *)
-  mf_build_note : string option;  (* extra build-side sentence *)
   mf_diff : string option;  (* what the fuzz differential mode asserts *)
   mf_fuzz_note : string;  (* fuzz trailing sentence: replay semantics *)
 }
@@ -103,23 +102,11 @@ let scheduler_flag =
     mf_values =
       "full (every module at every height each round) or incremental (drain \
        the dirty set plus a background scan lane)";
-    mf_build_note = None;
     mf_diff =
       Some
         "run every trace under both schedulers and require verdict (and, on \
          clean FIFO traces, final-shape) agreement";
     mf_fuzz_note = "Replayed traces carry their own scheduler directive.";
-  }
-
-let layout_flag =
-  {
-    mf_what = "State-store layout";
-    mf_values =
-      "flat (contiguous arrays over an int-interned id space) or hashed (the \
-       original per-process hashtables; the layout-differential baseline)";
-    mf_build_note = None;
-    mf_diff = Some ("run every trace under both layouts and " ^ bitwise_diff);
-    mf_fuzz_note = "Replayed traces carry their own layout directive.";
   }
 
 let detector_flag =
@@ -132,29 +119,12 @@ let detector_flag =
        a peer silent for TIMEOUT periods is suspected, challenged, and after \
        one more silent period confirmed dead and evicted locally; \
        $(b,heartbeat) alone means heartbeat:1:3:2)";
-    mf_build_note = None;
     mf_diff = None;
     mf_fuzz_note =
       "Heartbeat traces inject crashes silently — nobody is told — and \
        additionally assert crash convergence: every victim confirmed dead by \
        its monitors, and zero false kills on clean traces. Replayed traces \
        carry their own detector directive.";
-  }
-
-let domains_flag =
-  {
-    mf_what = "Worker domains";
-    mf_values = "a worker-domain count (1 = sequential)";
-    mf_build_note =
-      Some
-        "Any count produces bit-identical results — the parallel round \
-         sections are read-only audits plus order-preserving merges \
-         ($(b,fuzz --domains differential) proves it) — so this knob only \
-         changes wall-clock.";
-    mf_diff = Some ("run every trace at 1, 2 and 4 domains and " ^ bitwise_diff);
-    mf_fuzz_note =
-      "Not a trace field: replayed traces run at whatever count this option \
-       gives.";
   }
 
 let forest_flag =
@@ -166,15 +136,12 @@ let forest_flag =
        independent DR-trees, each with its own designated root, election \
        scope and repair sweep; events fan out to every other shard root \
        whose MBR contains them)";
-    mf_build_note = None;
     mf_diff =
       Some ("run every trace under single and sharded:1 and " ^ bitwise_diff);
     mf_fuzz_note = "Replayed traces carry their own forest directive.";
   }
 
-let build_doc f =
-  Printf.sprintf "%s: %s.%s" f.mf_what f.mf_values
-    (match f.mf_build_note with None -> "" | Some n -> " " ^ n)
+let build_doc f = Printf.sprintf "%s: %s." f.mf_what f.mf_values
 
 let fuzz_doc f =
   Printf.sprintf "%s for generated traces: %s%s. %s" f.mf_what f.mf_values
@@ -183,15 +150,9 @@ let fuzz_doc f =
     | Some d -> ", or differential — " ^ d)
     f.mf_fuzz_note
 
-let make_cfg ?(scheduler = Cfg.Full_sweep) ?(layout = Cfg.Flat) ?(domains = 1)
-    ?(detector = Cfg.Oracle) ?(forest = Cfg.Single) min_fill max_fill split =
-  if domains < 1 || domains > Sim.Pool.max_domains then begin
-    Format.eprintf "drtree_cli: --domains must lie in 1..%d@."
-      Sim.Pool.max_domains;
-    exit 124
-  end;
-  Cfg.make ~min_fill ~max_fill ~split ~scheduler ~layout ~domains ~detector
-    ~forest ()
+let make_cfg ?(scheduler = Cfg.Full_sweep) ?(detector = Cfg.Oracle)
+    ?(forest = Cfg.Single) min_fill max_fill split =
+  Cfg.make ~min_fill ~max_fill ~split ~scheduler ~detector ~forest ()
 
 let scheduler_t =
   Arg.(
@@ -200,12 +161,6 @@ let scheduler_t =
         (enum [ ("full", Cfg.Full_sweep); ("incremental", Cfg.Incremental) ])
         Cfg.Full_sweep
     & info [ "scheduler" ] ~docv:"KIND" ~doc:(build_doc scheduler_flag))
-
-let layout_t =
-  Arg.(
-    value
-    & opt (enum [ ("hashed", Cfg.Hashed); ("flat", Cfg.Flat) ]) Cfg.Flat
-    & info [ "layout" ] ~docv:"KIND" ~doc:(build_doc layout_flag))
 
 let detector_conv =
   let parse s =
@@ -221,11 +176,6 @@ let detector_t =
     value
     & opt detector_conv Cfg.Oracle
     & info [ "detector" ] ~docv:"KIND" ~doc:(build_doc detector_flag))
-
-let domains_t =
-  Arg.(
-    value & opt int 1
-    & info [ "domains" ] ~docv:"N" ~doc:(build_doc domains_flag))
 
 let forest_conv =
   (* Accept "single", "sharded:K", or a bare shard count K. *)
@@ -283,11 +233,10 @@ let print_shape ov =
 (* --- build ------------------------------------------------------------------- *)
 
 let build_cmd =
-  let run seed n workload min_fill max_fill split transport scheduler layout
-      domains detector forest =
+  let run seed n workload min_fill max_fill split transport scheduler detector
+      forest =
     let cfg =
-      make_cfg ~scheduler ~layout ~domains ~detector ~forest min_fill max_fill
-        split
+      make_cfg ~scheduler ~detector ~forest min_fill max_fill split
     in
     let ov, _ = build_overlay ~cfg ~transport ~seed ~n ~workload in
     Format.printf "config: %a@." Cfg.pp cfg;
@@ -322,8 +271,7 @@ let build_cmd =
   Cmd.v (Cmd.info "build" ~doc:"Build an overlay and print its shape.")
     Term.(
       const run $ seed_t $ size_t $ workload_t $ min_fill_t $ max_fill_t
-      $ split_t $ transport_t $ scheduler_t $ layout_t $ domains_t
-      $ detector_t $ forest_t)
+      $ split_t $ transport_t $ scheduler_t $ detector_t $ forest_t)
 
 (* --- publish ----------------------------------------------------------------- *)
 
@@ -535,9 +483,9 @@ let aggregate_cmd =
       & opt (t4 ~sep:',' float float float float) (0.0, 0.0, 100.0, 100.0)
       & info [ "rect" ] ~docv:"X0,Y0,X1,Y1" ~doc:"Query rectangle.")
   in
-  let run seed n workload min_fill max_fill split transport scheduler domains
-      forest fn tct epochs (x0, y0, x1, y1) =
-    let cfg = make_cfg ~scheduler ~domains ~forest min_fill max_fill split in
+  let run seed n workload min_fill max_fill split transport scheduler forest fn
+      tct epochs (x0, y0, x1, y1) =
+    let cfg = make_cfg ~scheduler ~forest min_fill max_fill split in
     let ov, rng = build_overlay ~cfg ~transport ~seed ~n ~workload in
     print_shape ov;
     let rt = Agg.Runtime.attach ov in
@@ -639,7 +587,7 @@ let aggregate_cmd =
           aggregation) over epochs of synthetic readings.")
     Term.(
       const run $ seed_t $ size_t $ workload_t $ min_fill_t $ max_fill_t
-      $ split_t $ transport_t $ scheduler_t $ domains_t $ forest_t $ fn_t
+      $ split_t $ transport_t $ scheduler_t $ forest_t $ fn_t
       $ tct_t $ epochs_t $ rect_t)
 
 (* --- fuzz -------------------------------------------------------------------- *)
@@ -745,43 +693,11 @@ let fuzz_cmd =
           `Full
       & info [ "scheduler" ] ~docv:"KIND" ~doc:(fuzz_doc scheduler_flag))
   in
-  let fuzz_layout_t =
-    Arg.(
-      value
-      & opt
-          (enum
-             [ ("hashed", `Hashed); ("flat", `Flat);
-               ("differential", `Differential) ])
-          `Flat
-      & info [ "layout" ] ~docv:"KIND" ~doc:(fuzz_doc layout_flag))
-  in
   let fuzz_detector_t =
     Arg.(
       value
       & opt detector_conv Cfg.Oracle
       & info [ "detector" ] ~docv:"KIND" ~doc:(fuzz_doc detector_flag))
-  in
-  let fuzz_domains_t =
-    let parse = function
-      | "differential" -> Ok `Differential
-      | s -> (
-          match int_of_string_opt s with
-          | Some n when n >= 1 && n <= Sim.Pool.max_domains -> Ok (`N n)
-          | Some _ | None ->
-              Error
-                (`Msg
-                   (Printf.sprintf
-                      "expected a domain count in 1..%d or \"differential\""
-                      Sim.Pool.max_domains)))
-    in
-    let print ppf = function
-      | `N n -> Format.pp_print_int ppf n
-      | `Differential -> Format.pp_print_string ppf "differential"
-    in
-    Arg.(
-      value
-      & opt (conv ~docv:"N" (parse, print)) (`N 1)
-      & info [ "domains" ] ~docv:"N" ~doc:(fuzz_doc domains_flag))
   in
   let fuzz_forest_t =
     let parse = function
@@ -800,40 +716,29 @@ let fuzz_cmd =
       & opt (conv ~docv:"KIND" (parse, print)) (`F Cfg.Single)
       & info [ "forest" ] ~docv:"KIND" ~doc:(fuzz_doc forest_flag))
   in
-  let replay ~domains ~forest file =
+  let replay ~forest file =
     match Mck.Trace.load file with
     | Error e ->
         Printf.eprintf "cannot load %s: %s\n" file e;
         exit 2
     | Ok tr -> (
         Format.printf "replaying %s:@.%a@." file Mck.Trace.pp tr;
-        match (forest, domains) with
-        | `Differential, `Differential ->
-            Format.eprintf
-              "fuzz: --forest differential and --domains differential cannot \
-               be combined on a replay@.";
-            exit 124
-        | `Differential, `N domains -> (
-            match Mck.Fuzz.run_forest_differential ~domains tr with
+        match forest with
+        | `Differential -> (
+            match Mck.Fuzz.run_forest_differential tr with
             | Ok _ -> print_endline "trace passes: forest-identical"
             | Error e ->
                 Printf.printf "reproduced: %s\n" e;
                 exit 1)
-        | `F _, `Differential -> (
-            match Mck.Fuzz.run_domains_differential tr with
-            | Ok _ -> print_endline "trace passes: domain-identical"
-            | Error e ->
-                Printf.printf "reproduced: %s\n" e;
-                exit 1)
-        | `F _, `N domains -> (
-            match Mck.Fuzz.run_trace ~domains tr with
+        | `F _ -> (
+            match Mck.Fuzz.run_trace tr with
             | Mck.Fuzz.Passed -> print_endline "trace passes: no violation"
             | Mck.Fuzz.Failed f ->
                 Format.printf "reproduced: %a@." Mck.Fuzz.pp_failure f;
                 exit 1))
   in
   let run seed traces ops nodes mode sched drop dup max_seconds out replay_file
-      plant probes transport scheduler layout detector domains forest =
+      plant probes transport scheduler detector forest =
     if not (drop >= 0.0 && drop < 1.0 && dup >= 0.0 && dup < 1.0) then begin
       Format.eprintf "fuzz: --drop and --dup must lie in [0, 1)@.";
       exit 124
@@ -843,7 +748,7 @@ let fuzz_cmd =
       exit 124
     end;
     match replay_file with
-    | Some file -> replay ~domains ~forest file
+    | Some file -> replay ~forest file
     | None -> (
         let modes =
           match mode with
@@ -873,258 +778,88 @@ let fuzz_cmd =
           file
         in
         let total = ref 0 in
-        if scheduler = `Differential && layout = `Differential then begin
-          Format.eprintf
-            "fuzz: --scheduler differential and --layout differential cannot \
-             be combined (run them as two passes)@.";
-          exit 124
-        end;
-        if
-          domains = `Differential
-          && (scheduler = `Differential || layout = `Differential)
-        then begin
-          Format.eprintf
-            "fuzz: --domains differential cannot be combined with another \
-             differential mode (run them as separate passes)@.";
-          exit 124
-        end;
-        if
-          forest = `Differential
-          && (scheduler = `Differential || layout = `Differential
-             || domains = `Differential)
-        then begin
+        if scheduler = `Differential && forest = `Differential then begin
           Format.eprintf
             "fuzz: --forest differential cannot be combined with another \
              differential mode (run them as separate passes)@.";
           exit 124
         end;
-        let trace_layout =
-          match layout with
-          | `Hashed -> Drtree.Config.Hashed
-          | `Flat | `Differential -> Drtree.Config.Flat
+        let trace_scheduler =
+          match scheduler with
+          | `Incremental -> Drtree.Config.Incremental
+          | `Full | `Differential -> Drtree.Config.Full_sweep
         in
         let trace_forest =
           match forest with
           | `F f -> f
           | `Differential -> Drtree.Config.Single
         in
-        match forest with
-        | `Differential -> (
-            (* Every generated trace runs under both forest realizations
-               — [Single] and [Sharded {shards = 1}]; any divergence at
+        (* One trace stream per (mode, schedule) pair, seeded from
+           [seed]. *)
+        let each_stream f =
+          List.iteri
+            (fun mi m ->
+              List.iteri
+                (fun si sk ->
+                  let rng = Rng.make (seed + (1000 * mi) + (100 * si)) in
+                  let gen _ =
+                    Mck.Fuzz.random_trace rng ~nodes ~ops ~mode:m ~transport
+                      ~sched:sk ~drop ~dup ~cover_sweep:(not plant)
+                      ~scheduler:trace_scheduler ~detector
+                      ~forest:trace_forest ()
+                  in
+                  f gen)
+                scheds)
+            modes
+        in
+        (* Every generated trace runs under both realizations of one
+           axis; a divergence is the counterexample, saved unshrunk (the
+           shrinker minimizes single-run failures). *)
+        let differential ~label ~agree ~prefix diff =
+          let failed = ref None in
+          each_stream (fun gen ->
+              let i = ref 0 in
+              while !i < traces && !failed = None && not (stop ()) do
+                let tr = gen !i in
+                (match diff tr with
+                | Ok _ -> incr total
+                | Error e -> failed := Some (tr, e));
+                incr i
+              done);
+          match !failed with
+          | None ->
+              Printf.printf "fuzz: %d trace(s) %s%s\n" !total agree
+                (if stop () then " (time cap reached)" else "")
+          | Some (tr, e) ->
+              Format.printf "%s differential FAILED: %s@.%a@." label e
+                Mck.Trace.pp tr;
+              let file = save_trace prefix tr in
+              Printf.printf "saved %s\n" file;
+              exit 1
+        in
+        match (forest, scheduler) with
+        | `Differential, _ ->
+            (* [Single] vs [Sharded {shards = 1}]: any divergence at
                all — verdict, shape, or a single counter — is a
-               rendezvous-abstraction bug and the counterexample (saved
-               unshrunk, like the layout differential). *)
-            let trace_scheduler =
-              match scheduler with
-              | `Incremental -> Drtree.Config.Incremental
-              | `Full | `Differential -> Drtree.Config.Full_sweep
-            in
-            let run_domains =
-              match domains with `N d -> d | `Differential -> 1
-            in
-            let failed = ref None in
-            List.iteri
-              (fun mi m ->
-                List.iteri
-                  (fun si sk ->
-                    if !failed = None && not (stop ()) then begin
-                      let rng = Rng.make (seed + (1000 * mi) + (100 * si)) in
-                      let i = ref 0 in
-                      while !i < traces && !failed = None && not (stop ()) do
-                        let tr =
-                          Mck.Fuzz.random_trace rng ~nodes ~ops ~mode:m
-                            ~transport ~sched:sk ~drop ~dup
-                            ~cover_sweep:(not plant)
-                            ~scheduler:trace_scheduler ~layout:trace_layout
-                            ~detector ~forest:trace_forest ()
-                        in
-                        (match
-                           Mck.Fuzz.run_forest_differential ~probes
-                             ~domains:run_domains tr
-                         with
-                        | Ok _ -> incr total
-                        | Error e -> failed := Some (tr, e));
-                        incr i
-                      done
-                    end)
-                  scheds)
-              modes;
-            match !failed with
-            | None ->
-                Printf.printf "fuzz: %d trace(s) forest-identical%s\n" !total
-                  (if stop () then " (time cap reached)" else "")
-            | Some (tr, e) ->
-                Format.printf "forest differential FAILED: %s@.%a@." e
-                  Mck.Trace.pp tr;
-                let file = save_trace "forest" tr in
-                Printf.printf "saved %s\n" file;
-                exit 1)
-        | `F _ -> (
-        match (domains, layout, scheduler) with
-        | `Differential, _, _ -> (
-            (* Every generated trace runs at 1, 2 and 4 domains; any
-               divergence at all — verdict, shape, or a single counter
-               — is a parallelism bug and the counterexample (saved
-               unshrunk, like the layout differential). *)
-            let trace_scheduler =
-              match scheduler with
-              | `Incremental -> Drtree.Config.Incremental
-              | `Full | `Differential -> Drtree.Config.Full_sweep
-            in
-            let failed = ref None in
-            List.iteri
-              (fun mi m ->
-                List.iteri
-                  (fun si sk ->
-                    if !failed = None && not (stop ()) then begin
-                      let rng = Rng.make (seed + (1000 * mi) + (100 * si)) in
-                      let i = ref 0 in
-                      while !i < traces && !failed = None && not (stop ()) do
-                        let tr =
-                          Mck.Fuzz.random_trace rng ~nodes ~ops ~mode:m
-                            ~transport ~sched:sk ~drop ~dup
-                            ~cover_sweep:(not plant)
-                            ~scheduler:trace_scheduler ~layout:trace_layout
-                            ~detector ~forest:trace_forest ()
-                        in
-                        (match Mck.Fuzz.run_domains_differential ~probes tr with
-                        | Ok _ -> incr total
-                        | Error e -> failed := Some (tr, e));
-                        incr i
-                      done
-                    end)
-                  scheds)
-              modes;
-            match !failed with
-            | None ->
-                Printf.printf "fuzz: %d trace(s) domain-identical%s\n" !total
-                  (if stop () then " (time cap reached)" else "")
-            | Some (tr, e) ->
-                Format.printf "domains differential FAILED: %s@.%a@." e
-                  Mck.Trace.pp tr;
-                let file = save_trace "domains" tr in
-                Printf.printf "saved %s\n" file;
-                exit 1)
-        | `N domains, layout, scheduler -> (
-            match (layout, scheduler) with
-        | `Differential, (`Full | `Incremental) -> (
-            (* Every generated trace runs under both layouts; any
-               divergence at all — verdict, shape, or a single counter
-               — is the counterexample (saved unshrunk, like the
-               scheduler differential). *)
-            let trace_scheduler =
-              match scheduler with
-              | `Incremental -> Drtree.Config.Incremental
-              | `Full | `Differential -> Drtree.Config.Full_sweep
-            in
-            let failed = ref None in
-            List.iteri
-              (fun mi m ->
-                List.iteri
-                  (fun si sk ->
-                    if !failed = None && not (stop ()) then begin
-                      let rng = Rng.make (seed + (1000 * mi) + (100 * si)) in
-                      let i = ref 0 in
-                      while !i < traces && !failed = None && not (stop ()) do
-                        let tr =
-                          Mck.Fuzz.random_trace rng ~nodes ~ops ~mode:m
-                            ~transport ~sched:sk ~drop ~dup
-                            ~cover_sweep:(not plant)
-                            ~scheduler:trace_scheduler ~detector ~forest:trace_forest ()
-                        in
-                        (match
-                           Mck.Fuzz.run_layout_differential ~probes ~domains tr
-                         with
-                        | Ok _ -> incr total
-                        | Error e -> failed := Some (tr, e));
-                        incr i
-                      done
-                    end)
-                  scheds)
-              modes;
-            match !failed with
-            | None ->
-                Printf.printf "fuzz: %d trace(s) layout-identical%s\n" !total
-                  (if stop () then " (time cap reached)" else "")
-            | Some (tr, e) ->
-                Format.printf "layout differential FAILED: %s@.%a@." e
-                  Mck.Trace.pp tr;
-                let file = save_trace "layout" tr in
-                Printf.printf "saved %s\n" file;
-                exit 1)
-        | _, `Differential -> (
-            (* Every generated trace runs under both schedulers; a
-               verdict or strict-shape disagreement is the
-               counterexample (saved unshrunk — the shrinker minimizes
-               single-run failures). *)
-            let failed = ref None in
-            List.iteri
-              (fun mi m ->
-                List.iteri
-                  (fun si sk ->
-                    if !failed = None && not (stop ()) then begin
-                      let rng = Rng.make (seed + (1000 * mi) + (100 * si)) in
-                      let i = ref 0 in
-                      while !i < traces && !failed = None && not (stop ()) do
-                        let tr =
-                          Mck.Fuzz.random_trace rng ~nodes ~ops ~mode:m
-                            ~transport ~sched:sk ~drop ~dup
-                            ~cover_sweep:(not plant) ~layout:trace_layout
-                            ~detector ~forest:trace_forest ()
-                        in
-                        (match
-                           Mck.Fuzz.run_scheduler_differential ~probes ~domains
-                             tr
-                         with
-                        | Ok _ -> incr total
-                        | Error e -> failed := Some (tr, e));
-                        incr i
-                      done
-                    end)
-                  scheds)
-              modes;
-            match !failed with
-            | None ->
-                Printf.printf "fuzz: %d trace(s) scheduler-equivalent%s\n"
-                  !total
-                  (if stop () then " (time cap reached)" else "")
-            | Some (tr, e) ->
-                Format.printf "scheduler differential FAILED: %s@.%a@." e
-                  Mck.Trace.pp tr;
-                let file = save_trace "differential" tr in
-                Printf.printf "saved %s\n" file;
-                exit 1)
-        | (`Hashed | `Flat), ((`Full | `Incremental) as s) -> (
-            let trace_scheduler =
-              match s with
-              | `Full -> Drtree.Config.Full_sweep
-              | `Incremental -> Drtree.Config.Incremental
-            in
+               rendezvous-abstraction bug. *)
+            differential ~label:"forest" ~agree:"forest-identical"
+              ~prefix:"forest"
+              (Mck.Fuzz.run_forest_differential ~probes)
+        | `F _, `Differential ->
+            differential ~label:"scheduler" ~agree:"scheduler-equivalent"
+              ~prefix:"differential"
+              (Mck.Fuzz.run_scheduler_differential ~probes)
+        | `F _, (`Full | `Incremental) -> (
             let found = ref None in
-            List.iteri
-              (fun mi m ->
-                List.iteri
-                  (fun si sk ->
-                    if !found = None && not (stop ()) then begin
-                      let rng = Rng.make (seed + (1000 * mi) + (100 * si)) in
-                      let gen _ =
-                        Mck.Fuzz.random_trace rng ~nodes ~ops ~mode:m
-                          ~transport ~sched:sk ~drop ~dup
-                          ~cover_sweep:(not plant)
-                          ~scheduler:trace_scheduler ~layout:trace_layout
-                          ~detector ~forest:trace_forest ()
-                      in
-                      match
-                        Mck.Fuzz.fuzz ~probes ~domains ~stop
-                          ~on_trace:(fun _ _ _ -> incr total)
-                          ~traces ~gen ()
-                      with
-                      | None -> ()
-                      | Some (i, tr, f) -> found := Some (i, tr, f)
-                    end)
-                  scheds)
-              modes;
+            each_stream (fun gen ->
+                if !found = None && not (stop ()) then
+                  match
+                    Mck.Fuzz.fuzz ~probes ~stop
+                      ~on_trace:(fun _ _ _ -> incr total)
+                      ~traces ~gen ()
+                  with
+                  | None -> ()
+                  | Some (i, tr, f) -> found := Some (i, tr, f));
             match !found with
             | None ->
                 Printf.printf "fuzz: %d trace(s) passed%s\n" !total
@@ -1141,7 +876,7 @@ let fuzz_cmd =
                 Printf.printf
                   "saved %s\nreplay with: drtree_cli fuzz --replay %s\n" file
                   file;
-                exit 1))))
+                exit 1))
   in
   Cmd.v
     (Cmd.info "fuzz"
@@ -1151,8 +886,7 @@ let fuzz_cmd =
     Term.(
       const run $ seed_t $ traces_t $ ops_t $ nodes_t $ mode_t $ sched_t
       $ drop_t $ dup_t $ max_seconds_t $ out_t $ replay_t $ plant_t $ probes_t
-      $ fuzz_transport_t $ fuzz_scheduler_t $ fuzz_layout_t $ fuzz_detector_t
-      $ fuzz_domains_t $ fuzz_forest_t)
+      $ fuzz_transport_t $ fuzz_scheduler_t $ fuzz_detector_t $ fuzz_forest_t)
 
 let () =
   let doc = "stabilizing peer-to-peer spatial filters (DR-tree)" in

@@ -2,17 +2,14 @@ module Rect = Geometry.Rect
 module Node_id = Sim.Node_id
 module Engine = Sim.Engine
 
-(* The process store, in the configured layout (DESIGN.md §11).
-   [S_hashed] is the seed realization. [S_flat] indexes a plain array
-   by intern slot: the intern table assigns each process a stable slot
-   on insertion, so [state] is two array reads and no hashing — the
-   difference that carries E23 to N=65536+. Neither layout ever
-   removes an entry: a crashed process's state must stay readable
-   ({!Invariant} follows ancestor links through dead processes), so
-   the overlay inserts but never releases. *)
-type store =
-  | S_hashed of State.t Node_id.Table.t
-  | S_flat of { intern : Intern.t; mutable arr : State.t option array }
+(* The process store (DESIGN.md §11): a plain array indexed by intern
+   slot. The intern table assigns each process a stable slot on
+   insertion, so [state] is two array reads and no hashing — the
+   difference that carries E23 to N=65536+. No entry is ever removed:
+   a crashed process's state must stay readable ({!Invariant} follows
+   ancestor links through dead processes), so the overlay inserts but
+   never releases. *)
+type store = { intern : Intern.t; mutable arr : State.t option array }
 
 type net = {
   cfg : Config.t;
@@ -26,9 +23,6 @@ type net = {
   dirty : Dirty.t;
       (* the incremental scheduler's work queue; every write path marks
          through {!mark} below *)
-  pool : Sim.Pool.t option;
-      (* the domain pool behind [Config.domains > 1]; [None] means the
-         sequential path everywhere (DESIGN.md §12) *)
   rdv : Rendezvous.t;
       (* the rendezvous layer (DESIGN.md §14): which tree of the
          forest a process homes on. [Single] (the default) is the
@@ -85,25 +79,16 @@ let default_space =
 let create ?(cfg = Config.default) ?transport ?drop_rate
     ?(space = default_space) ~seed () =
   let rdv = Rendezvous.create ~forest:cfg.Config.forest ~space in
-  let states =
-    match cfg.Config.layout with
-    | Config.Hashed -> S_hashed (Node_id.Table.create 256)
-    | Config.Flat ->
-        S_flat { intern = Intern.create ~capacity:256 (); arr = Array.make 256 None }
-  in
   let net =
     {
       cfg;
       engine = Engine.create ?transport ?drop_rate ~seed ();
-      states;
+      states =
+        { intern = Intern.create ~capacity:256 (); arr = Array.make 256 None };
       rng = Sim.Rng.make (seed lxor 0x7ee1);
       snapshots = Hashtbl.create 256;
       tele = Telemetry.create ();
       dirty = Dirty.create ();
-      pool =
-        (if cfg.Config.domains > 1 then
-           Some (Sim.Pool.get ~domains:cfg.Config.domains)
-         else None);
       rdv;
       claimants =
         Array.init (Rendezvous.shards rdv) (fun _ -> Node_id.Table.create 8);
@@ -128,30 +113,23 @@ let create ?(cfg = Config.default) ?transport ?drop_rate
 let is_alive net id = Engine.is_alive net.engine id
 
 let state net id =
-  match net.states with
-  | S_hashed tbl -> Node_id.Table.find_opt tbl id
-  | S_flat f -> (
-      match Intern.find f.intern id with
-      | Some slot -> f.arr.(slot)
-      | None -> None)
+  match Intern.find net.states.intern id with
+  | Some slot -> net.states.arr.(slot)
+  | None -> None
 
 (* The one insertion path: {!Overlay.join_async} registers every fresh
-   process here. Under the flat layout this is where the process gets
-   its intern slot. *)
+   process here, which is where the process gets its intern slot. *)
 let add_state net s =
-  let id = State.id s in
-  match net.states with
-  | S_hashed tbl -> Node_id.Table.replace tbl id s
-  | S_flat f ->
-      let slot = Intern.intern f.intern id in
-      let cap = Array.length f.arr in
-      if slot >= cap then begin
-        let ncap = max (slot + 1) (2 * cap) in
-        let arr = Array.make ncap None in
-        Array.blit f.arr 0 arr 0 cap;
-        f.arr <- arr
-      end;
-      f.arr.(slot) <- Some s
+  let st = net.states in
+  let slot = Intern.intern st.intern (State.id s) in
+  let cap = Array.length st.arr in
+  if slot >= cap then begin
+    let ncap = max (slot + 1) (2 * cap) in
+    let arr = Array.make ncap None in
+    Array.blit st.arr 0 arr 0 cap;
+    st.arr <- arr
+  end;
+  st.arr.(slot) <- Some s
 
 (* Protocol-level read: a crashed process's memory is unreachable.
    When a module body executing at another node reads this state, the
@@ -184,21 +162,15 @@ let alive_ids net =
 let size net = List.length (alive_ids net)
 
 (* Every id ever spawned, alive or crashed, in id order — the
-   membership log (neither layout ever releases an entry). The failure
+   membership log (the store never releases an entry). The failure
    detector seeds its ring registry here: joins are announced by the
    join protocol, crashes are not, so knowing who {e joined} is fair
    game while knowing who {e died} is exactly what the detector must
    infer (DESIGN.md §13). *)
 let iter_all_ids net f =
-  let ids =
-    match net.states with
-    | S_hashed tbl -> Node_id.Table.fold (fun id _ acc -> id :: acc) tbl []
-    | S_flat fl ->
-        let acc = ref [] in
-        Intern.iter fl.intern (fun id _ -> acc := id :: !acc);
-        !acc
-  in
-  List.iter f (List.sort Node_id.compare ids)
+  let ids = ref [] in
+  Intern.iter net.states.intern (fun id _ -> ids := id :: !ids);
+  List.iter f (List.sort Node_id.compare !ids)
 
 (* {2 Dirty marking and the root-claimant cache}
 
@@ -223,10 +195,9 @@ let shard_count net = Array.length net.claimants
 
 (* The fan-out set of a rectangle, and the merge-owner rule of the
    aggregation plane (DESIGN.md §15): both pure functions of the grid
-   — no probe, no RNG draw — so every process, layout and domain
-   count agrees on them without coordination. [intersecting_shards]
-   is never empty (a dimension mismatch returns every shard), so the
-   owner is total. *)
+   — no probe, no RNG draw — so every process agrees on them without
+   coordination. [intersecting_shards] is never empty (a dimension
+   mismatch returns every shard), so the owner is total. *)
 let intersecting_shards net r = Rendezvous.intersecting_shards net.rdv r
 let merge_owner_shard net r = List.hd (intersecting_shards net r)
 
@@ -337,33 +308,12 @@ let neighbors_of sp =
    tolerates exactly the information a report carries. *)
 
 type mode = Direct | Snapshot
+type t = { net : net; self : State.t; mode : mode }
 
-(* [probes = None]: neighbor reads go through {!read}, attributed to
-   the ambient [net.executor] and counted in the shared {!Telemetry} —
-   the sequential pass path. [probes = Some c]: reads count into the
-   caller-owned cell instead, with the holder as implicit executor,
-   and touch no shared mutable — the shard-local path of the parallel
-   read-only audits (DESIGN.md §12), where neither [net.executor] nor
-   the telemetry may be written concurrently. *)
-type t = { net : net; self : State.t; mode : mode; probes : int ref option }
-
-let direct net self = { net; self; mode = Direct; probes = None }
-let snapshot net self = { net; self; mode = Snapshot; probes = None }
-let direct_counted net self ~probes = { net; self; mode = Direct; probes = Some probes }
-let snapshot_counted net self ~probes =
-  { net; self; mode = Snapshot; probes = Some probes }
+let direct net self = { net; self; mode = Direct }
+let snapshot net self = { net; self; mode = Snapshot }
 let self v = v.self
 let network v = v.net
-
-(* Same observable effect as {!read} under [as_executor (self v)]: the
-   probe is recorded before the liveness test, for any target other
-   than the holder. *)
-let view_read v id =
-  match v.probes with
-  | None -> read v.net id
-  | Some c ->
-      if not (Node_id.equal id (State.id v.self)) then incr c;
-      if is_alive v.net id then state v.net id else None
 
 (* The holder's own state is local in both modes. *)
 let member_mbr v h id =
@@ -371,7 +321,7 @@ let member_mbr v h id =
   else
     match v.mode with
     | Direct -> (
-        match view_read v id with
+        match read v.net id with
         | Some s -> State.mbr_at s h
         | None -> None)
     | Snapshot -> snapshot_mbr v.net ~asker:(State.id v.self) h id
@@ -385,7 +335,7 @@ let claims_parent v ~child ~h =
   let p = State.id v.self in
   match v.mode with
   | Direct -> (
-      match view_read v child with
+      match read v.net child with
       | Some sc ->
           State.is_active sc h
           && Node_id.equal (State.level_exn sc h).State.parent p
@@ -404,7 +354,7 @@ let attached_to v ~parent ~h =
   let p = State.id v.self in
   match v.mode with
   | Direct -> (
-      match view_read v parent with
+      match read v.net parent with
       | Some spar ->
           State.is_active spar h
           && Node_id.Set.mem p (State.level_exn spar h).State.children

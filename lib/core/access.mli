@@ -15,11 +15,9 @@
     accessors. External consumers go through {!Overlay}. *)
 
 type store
-(** The process store in the configured {!Config.layout}: the seed's
-    hashtable, or a flat array indexed through an {!Intern} table
+(** The process store: a flat array indexed through an {!Intern} table
     (DESIGN.md §11). Abstract — all access goes through {!state},
-    {!add_state} and the iteration helpers, so the rest of the library
-    is layout-agnostic. *)
+    {!add_state} and the iteration helpers. *)
 
 type net = {
   cfg : Config.t;
@@ -29,7 +27,6 @@ type net = {
   snapshots : (Sim.Node_id.t * Sim.Node_id.t, Message.snapshot) Hashtbl.t;
   tele : Telemetry.t;
   dirty : Dirty.t;
-  pool : Sim.Pool.t option;
   rdv : Rendezvous.t;
   claimants : unit Sim.Node_id.Table.t array;
   mutable scan_cursor : int;
@@ -68,13 +65,11 @@ val is_alive : net -> Sim.Node_id.t -> bool
 
 val state : net -> Sim.Node_id.t -> State.t option
 (** The process state whether alive or crashed ([None] if never
-    spawned); never counts a probe. Under the flat layout this is two
-    array reads — no hashing. *)
+    spawned); never counts a probe. Two array reads — no hashing. *)
 
 val add_state : net -> State.t -> unit
 (** Register a fresh process in the store (the {!Overlay.join_async}
-    insertion path). Under the flat layout this assigns the process
-    its intern slot. Entries are never removed: crashed processes'
+    insertion path), assigning the process its intern slot. Entries are never removed: crashed processes'
     state must stay readable ({!Invariant} follows ancestor links
     through dead processes). *)
 
@@ -98,7 +93,7 @@ val iter_states : net -> (Sim.Node_id.t -> State.t -> unit) -> unit
 
 val iter_all_ids : net -> (Sim.Node_id.t -> unit) -> unit
 (** Every id ever spawned — alive or crashed — in id order: the
-    membership log (neither store layout releases entries). The
+    membership log (the store never releases entries). The
     failure detector ([lib/fd]) seeds its ring registry from it: joins
     are announced by the join protocol, so knowing who joined is fair
     game; knowing who {e died} is what the detector must infer
@@ -161,9 +156,8 @@ val intersecting_shards : net -> Geometry.Rect.t -> int list
 val merge_owner_shard : net -> Geometry.Rect.t -> int
 (** The merge-owner rule of the forest-wide aggregation plane
     (DESIGN.md §15): the lowest-numbered intersecting shard. A pure
-    function of the grid, so every process — and every layout and
-    domain count — agrees on the owner without coordination; [0]
-    under [Single]. *)
+    function of the grid, so every process agrees on the owner without
+    coordination; [0] under [Single]. *)
 
 (** {2 Direct neighbor reads} *)
 
@@ -201,23 +195,6 @@ val direct : net -> State.t -> t
 val snapshot : net -> State.t -> t
 (** Message-passing observation: only this round's received REPORTs;
     a neighbor without a report is treated as dead. *)
-
-val direct_counted : net -> State.t -> probes:int ref -> t
-(** Like {!direct}, but neighbor reads count into the caller-owned
-    cell instead of the shared {!Telemetry}, with the holder as the
-    implicit executor — the same probes {!direct} would record under
-    [as_executor net (State.id self)], without touching any shared
-    mutable. This is the shard-local observation mode of the parallel
-    read-only audits (DESIGN.md §12): during an audit no domain
-    writes, every read sees start-of-pass state — the explicit
-    read-snapshot/write-local discipline, the same snapshot semantics
-    the message-passing rounds already have — and the counts are
-    merged into {!Telemetry} at the barrier, in shard order. *)
-
-val snapshot_counted : net -> State.t -> probes:int ref -> t
-(** {!snapshot} with the same caller-owned counting as
-    {!direct_counted} (snapshot reads never probe, so the cell stays
-    at zero; the variant exists so audit code is mode-agnostic). *)
 
 val self : t -> State.t
 val network : t -> net

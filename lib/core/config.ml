@@ -10,23 +10,25 @@ let scheduler_of_string = function
   | "incremental" -> Ok Incremental
   | s -> Error (Printf.sprintf "unknown scheduler %S" s)
 
-type layout = Hashed | Flat
-
-let layout_to_string = function Hashed -> "hashed" | Flat -> "flat"
-
-let layout_of_string = function
-  | "hashed" -> Ok Hashed
-  | "flat" -> Ok Flat
-  | s -> Error (Printf.sprintf "unknown layout %S" s)
-
 type detector =
   | Oracle
   | Heartbeat of { period : float; timeout_factor : int; fallbacks : int }
 
+(* The shortest [%.*g] rendering that reads back as the same float:
+   [%g] (precision 6) whenever that is exact, so common periods print
+   as before, and up to [%.17g], which always round-trips. *)
+let float_to_string f =
+  let rec go prec =
+    let s = Printf.sprintf "%.*g" prec f in
+    if prec >= 17 || float_of_string s = f then s else go (prec + 1)
+  in
+  go 6
+
 let detector_to_string = function
   | Oracle -> "oracle"
   | Heartbeat { period; timeout_factor; fallbacks } ->
-      Printf.sprintf "heartbeat:%g:%d:%d" period timeout_factor fallbacks
+      Printf.sprintf "heartbeat:%s:%d:%d" (float_to_string period)
+        timeout_factor fallbacks
 
 let default_heartbeat =
   Heartbeat { period = 1.0; timeout_factor = 3; fallbacks = 2 }
@@ -77,8 +79,6 @@ type t = {
   scheduler : scheduler;
   scan_fraction : float;
   seen_capacity : int;
-  layout : layout;
-  domains : int;
   detector : detector;
   forest : forest;
 }
@@ -87,7 +87,7 @@ let default =
   { min_fill = 2; max_fill = 4; split = Rtree.Split.Quadratic;
     oracle = Root_oracle; cover_sweep = true; publish_ttl = 128;
     scheduler = Full_sweep; scan_fraction = 0.05; seen_capacity = 4096;
-    layout = Flat; domains = 1; detector = Oracle; forest = Single }
+    detector = Oracle; forest = Single }
 
 let make ?(min_fill = default.min_fill) ?(max_fill = default.max_fill)
     ?(split = default.split) ?(oracle = default.oracle)
@@ -96,7 +96,6 @@ let make ?(min_fill = default.min_fill) ?(max_fill = default.max_fill)
     ?(scheduler = default.scheduler)
     ?(scan_fraction = default.scan_fraction)
     ?(seen_capacity = default.seen_capacity)
-    ?(layout = default.layout) ?(domains = default.domains)
     ?(detector = default.detector) ?(forest = default.forest) () =
   if min_fill < 2 then invalid_arg "Drtree.Config.make: min_fill < 2";
   if max_fill < 2 * min_fill then
@@ -106,10 +105,6 @@ let make ?(min_fill = default.min_fill) ?(max_fill = default.max_fill)
     invalid_arg "Drtree.Config.make: scan_fraction outside [0, 1]";
   if seen_capacity < 1 then
     invalid_arg "Drtree.Config.make: seen_capacity < 1";
-  if domains < 1 || domains > Sim.Pool.max_domains then
-    invalid_arg
-      (Printf.sprintf "Drtree.Config.make: domains outside 1..%d"
-         Sim.Pool.max_domains);
   (match detector with
   | Oracle -> ()
   | Heartbeat { period; timeout_factor; fallbacks } ->
@@ -127,10 +122,10 @@ let make ?(min_fill = default.min_fill) ?(max_fill = default.max_fill)
           (Printf.sprintf "Drtree.Config.make: shards outside 1..%d"
              max_shards));
   { min_fill; max_fill; split; oracle; cover_sweep; publish_ttl; scheduler;
-    scan_fraction; seen_capacity; layout; domains; detector; forest }
+    scan_fraction; seen_capacity; detector; forest }
 
 let pp ppf c =
-  Format.fprintf ppf "m=%d M=%d split=%a oracle=%s ttl=%d%s%s%s%s%s%s" c.min_fill
+  Format.fprintf ppf "m=%d M=%d split=%a oracle=%s ttl=%d%s%s%s%s" c.min_fill
     c.max_fill Rtree.Split.pp_kind c.split
     (match c.oracle with Root_oracle -> "root" | Random_oracle -> "random")
     c.publish_ttl
@@ -138,8 +133,6 @@ let pp ppf c =
     | Full_sweep -> ""
     | Incremental ->
         Printf.sprintf " sched=incremental(scan=%g)" c.scan_fraction)
-    (match c.layout with Flat -> "" | Hashed -> " layout=hashed")
-    (if c.domains = 1 then "" else Printf.sprintf " domains=%d" c.domains)
     (match c.detector with
     | Oracle -> ""
     | Heartbeat _ ->

@@ -26,25 +26,6 @@ type scheduler =
 val scheduler_to_string : scheduler -> string
 val scheduler_of_string : string -> (scheduler, string) result
 
-(** How {!State} and {!Access} store the per-(process, height) variables
-    (DESIGN.md §11). The two layouts are observationally identical — the
-    layout-differential harness in [lib/mck] proves equal verdicts,
-    membership, telemetry and byte accounting on every trace — so the
-    choice is purely a performance knob. *)
-type layout =
-  | Hashed
-      (** the seed realization: a hashtable of processes, each holding a
-          hashtable of per-height level records — the pre-refactor
-          semantics, kept as the differential baseline *)
-  | Flat
-      (** contiguous arrays over an int-interned id space: per-process
-          dense level arrays delimited by [top], and the process store
-          itself an intern-indexed array — O(1) un-hashed access on
-          every hot read, the layout that carries N = 10⁵+ (E23) *)
-
-val layout_to_string : layout -> string
-val layout_of_string : string -> (layout, string) result
-
 (** How the overlay learns about departures (DESIGN.md §13). The paper
     assumes crashes are {e known}; [Oracle] models that assumption,
     [Heartbeat] removes it. *)
@@ -65,7 +46,9 @@ type detector =
           path the oracle used, with no global knowledge involved. *)
 
 val detector_to_string : detector -> string
-(** ["oracle"], or ["heartbeat:<period>:<timeout_factor>:<fallbacks>"]. *)
+(** ["oracle"], or ["heartbeat:<period>:<timeout_factor>:<fallbacks>"],
+    the period in the shortest [%g]-style form that reads back exactly,
+    so [detector_of_string (detector_to_string d) = Ok d]. *)
 
 val detector_of_string : string -> (detector, string) result
 (** Accepts ["oracle"], ["heartbeat"] (the default parameters:
@@ -130,17 +113,6 @@ type t = {
           it, keeping long-lived processes' memory flat. Event ids are
           monotonically increasing and redelivery windows are short
           (one dissemination), so a few thousand suffices. *)
-  layout : layout;
-  domains : int;
-      (** Number of shards the round drivers fan the CHECK_* passes,
-          QUERY fan-out, and {!Invariant} sweeps over, on the global
-          {!Sim.Pool} of OCaml 5 domains (DESIGN.md §12). [1] (the
-          default) is the sequential path, untouched. Any value
-          produces bit-identical runs — the parallel sections are
-          read-only audits and order-preserving merges; the
-          domains-differential harness in [lib/mck] enforces exact
-          verdict, shape and fingerprint equality across counts — so
-          the choice is purely a performance knob. *)
   detector : detector;
       (** Departure-detection model. [Oracle] (the default) is the
           paper's known-crash assumption and is bit-identical to the
@@ -157,8 +129,7 @@ type t = {
 val default : t
 (** [m = 2], [M = 4], quadratic split, root oracle, cover sweep on,
     [publish_ttl = 128], full-sweep scheduler, [scan_fraction = 0.05],
-    [seen_capacity = 4096], flat layout, [domains = 1], oracle
-    detector. *)
+    [seen_capacity = 4096], oracle detector, single forest. *)
 
 val make :
   ?min_fill:int ->
@@ -170,8 +141,6 @@ val make :
   ?scheduler:scheduler ->
   ?scan_fraction:float ->
   ?seen_capacity:int ->
-  ?layout:layout ->
-  ?domains:int ->
   ?detector:detector ->
   ?forest:forest ->
   unit ->
@@ -179,8 +148,7 @@ val make :
 (** @raise Invalid_argument if [min_fill < 2],
     [max_fill < 2 * min_fill] ([m >= 2] keeps interior nodes binary
     or wider, matching the R-tree root rule), [publish_ttl < 1],
-    [scan_fraction] outside [0, 1], [seen_capacity < 1], [domains]
-    outside [1 .. Sim.Pool.max_domains], a [Heartbeat] detector
+    [scan_fraction] outside [0, 1], [seen_capacity < 1], a [Heartbeat] detector
     with [period <= 0], [timeout_factor < 1] or [fallbacks < 0], or a
     [Sharded] forest with [shards] outside [1 .. max_shards]. *)
 

@@ -1,7 +1,7 @@
 module Node_id = Sim.Node_id
 
 (* A stable intern table from process ids to dense array slots: the
-   index space of the flat state layout (DESIGN.md §11).
+   index space of the flat state store (DESIGN.md §11).
 
    Today engine-assigned ids are themselves dense, so the table looks
    redundant; it exists so that nothing above it depends on that

@@ -1,6 +1,6 @@
 (** Stable intern table: process ids to dense array slots.
 
-    The index space of the flat state layout (DESIGN.md §11): the flat
+    The index space of the flat state store (DESIGN.md §11): the
     {!Access} store keeps one array cell per interned process, and a
     slot never moves while its id holds it, so slots stay valid as
     indexes across arbitrary join/leave/crash churn. Slots are handed
@@ -9,8 +9,7 @@
 
     The DR-tree overlay interns on join and {e never releases}: a
     crashed process's state must stay readable ({!Invariant} walks
-    ancestor chains through dead processes), matching the hashed
-    store's retention. {!release} exists for layers whose id space is
+    ancestor chains through dead processes). {!release} exists for layers whose id space is
     genuinely sparse (a future socket transport); its slot-reuse
     contract is pinned by the qcheck suite in [test_state_layout.ml]. *)
 

@@ -8,8 +8,7 @@
     partitioned by Z-order ({!Baselines.Zorder}) into [shards]
     contiguous key ranges; the mapping is a pure function of the grid
     (no RNG, no schedule state), so it is total, balanced, and
-    deterministic across layouts and domain counts ([test_forest.ml]
-    holds it to that). *)
+    deterministic ([test_forest.ml] holds it to that). *)
 
 type t
 

@@ -8,24 +8,16 @@ type level = {
   mutable underloaded : bool;
 }
 
-(* Two realizations of the per-height instance variables (DESIGN.md
-   §11). [Hashed] is the seed layout: a hashtable keyed by height, one
-   lookup per state access. [Flat] exploits the protocol invariant that
-   active heights are always the dense range 0..top ([activate] fills
+(* Active heights are always the dense range 0..top ([activate] fills
    every height below, [deactivate_above] only trims from the top, so
-   gaps are unrepresentable): a plain array delimited by [top], making
-   every hot-path read an array index. Cells above [top] are inert
-   spares — re-activation resets them in place to the fresh-level
-   values, so the two layouts are observationally identical (the
-   layout-differential harness in lib/mck holds them to that). *)
-type repr =
-  | Hashed of (int, level) Hashtbl.t
-  | Flat of { mutable arr : level array }
-
+   gaps are unrepresentable): the levels live in a plain array
+   delimited by [top], making every hot-path read an array index
+   (DESIGN.md §11). Cells above [top] are inert spares — re-activation
+   resets them in place to the fresh-level values. *)
 type t = {
   id : Node_id.t;
   filter : Rect.t;
-  repr : repr;
+  mutable levels : level array;
   mutable top : int;
   seen : (int, unit) Hashtbl.t;
   seen_order : int Queue.t;
@@ -38,45 +30,26 @@ let fresh_level ~id ~filter =
   { children = Node_id.Set.empty; mbr = filter; parent = id;
     underloaded = false }
 
-(* In-place equivalent of installing a [fresh_level]: flat cells are
-   reused across deactivate/activate cycles instead of reallocated. *)
+(* In-place equivalent of installing a [fresh_level]: cells are reused
+   across deactivate/activate cycles instead of reallocated. *)
 let reset_level ~id ~filter l =
   l.children <- Node_id.Set.empty;
   l.mbr <- filter;
   l.parent <- id;
   l.underloaded <- false
 
-let create ?(seen_capacity = 4096) ?(layout = Config.Flat) ~id ~filter () =
+let create ?(seen_capacity = 4096) ~id ~filter () =
   if seen_capacity < 1 then invalid_arg "State.create: seen_capacity < 1";
-  let repr =
-    match layout with
-    | Config.Hashed ->
-        let levels = Hashtbl.create 4 in
-        Hashtbl.replace levels 0 (fresh_level ~id ~filter);
-        Hashed levels
-    | Config.Flat ->
-        Flat { arr = Array.init 4 (fun _ -> fresh_level ~id ~filter) }
-  in
-  { id; filter; repr; top = 0; seen = Hashtbl.create 16;
-    seen_order = Queue.create (); seen_capacity }
+  { id; filter; levels = Array.init 4 (fun _ -> fresh_level ~id ~filter);
+    top = 0; seen = Hashtbl.create 16; seen_order = Queue.create ();
+    seen_capacity }
 
 let id s = s.id
 let filter s = s.filter
 let top s = s.top
 
-let layout s =
-  match s.repr with Hashed _ -> Config.Hashed | Flat _ -> Config.Flat
-
-let is_active s h =
-  h >= 0 && h <= s.top
-  && (match s.repr with Hashed levels -> Hashtbl.mem levels h | Flat _ -> true)
-
-let level s h =
-  if h < 0 || h > s.top then None
-  else
-    match s.repr with
-    | Hashed levels -> Hashtbl.find_opt levels h
-    | Flat f -> Some f.arr.(h)
+let is_active s h = h >= 0 && h <= s.top
+let level s h = if h < 0 || h > s.top then None else Some s.levels.(h)
 
 let level_exn s h =
   match level s h with
@@ -88,38 +61,24 @@ let level_exn s h =
 
 let activate s h =
   if h < 0 then invalid_arg "State.activate: negative height";
-  (match s.repr with
-  | Hashed levels ->
-      for h' = 0 to h do
-        if not (Hashtbl.mem levels h') then
-          Hashtbl.replace levels h' (fresh_level ~id:s.id ~filter:s.filter)
-      done
-  | Flat f ->
-      let cap = Array.length f.arr in
-      if h >= cap then begin
-        let ncap = max (h + 1) (2 * cap) in
-        f.arr <-
-          Array.init ncap (fun i ->
-              if i < cap then f.arr.(i)
-              else fresh_level ~id:s.id ~filter:s.filter)
-      end;
-      (* Spare cells above [top] may hold stale values from a previous
-         activation; bring the newly active range up fresh. *)
-      for h' = s.top + 1 to h do
-        reset_level ~id:s.id ~filter:s.filter f.arr.(h')
-      done);
+  let cap = Array.length s.levels in
+  if h >= cap then begin
+    let ncap = max (h + 1) (2 * cap) in
+    s.levels <-
+      Array.init ncap (fun i ->
+          if i < cap then s.levels.(i)
+          else fresh_level ~id:s.id ~filter:s.filter)
+  end;
+  (* Spare cells above [top] may hold stale values from a previous
+     activation; bring the newly active range up fresh. *)
+  for h' = s.top + 1 to h do
+    reset_level ~id:s.id ~filter:s.filter s.levels.(h')
+  done;
   if h > s.top then s.top <- h;
   level_exn s h
 
-let deactivate_above s h =
-  let h = max h 0 in
-  (match s.repr with
-  | Hashed levels ->
-      for h' = h + 1 to s.top do
-        Hashtbl.remove levels h'
-      done
-  | Flat _ -> () (* cells above [top] are inert; [activate] resets them *));
-  if s.top > h then s.top <- h
+(* Cells above [top] are inert; [activate] resets them. *)
+let deactivate_above s h = if s.top > max h 0 then s.top <- max h 0
 
 let is_root s h =
   h = s.top
@@ -137,7 +96,7 @@ let memory_words s =
   in
   let acc = ref 0 in
   for h = 0 to s.top do
-    match level s h with Some l -> acc := per_level l !acc | None -> ()
+    acc := per_level s.levels.(h) !acc
   done;
   !acc
 
@@ -145,16 +104,14 @@ let pp ppf s =
   Format.fprintf ppf "@[<v>%a filter=%a top=%d" Node_id.pp s.id Rect.pp
     s.filter s.top;
   for h = 0 to s.top do
-    match level s h with
-    | None -> Format.fprintf ppf "@,  h%d: <missing>" h
-    | Some l ->
-        Format.fprintf ppf "@,  h%d: parent=%a mbr=%a children={%a}%s" h
-          Node_id.pp l.parent Rect.pp l.mbr
-          (Format.pp_print_list
-             ~pp_sep:(fun ppf () -> Format.fprintf ppf ",")
-             Node_id.pp)
-          (Node_id.Set.elements l.children)
-          (if l.underloaded then " underloaded" else "")
+    let l = s.levels.(h) in
+    Format.fprintf ppf "@,  h%d: parent=%a mbr=%a children={%a}%s" h
+      Node_id.pp l.parent Rect.pp l.mbr
+      (Format.pp_print_list
+         ~pp_sep:(fun ppf () -> Format.fprintf ppf ",")
+         Node_id.pp)
+      (Node_id.Set.elements l.children)
+      (if l.underloaded then " underloaded" else "")
   done;
   Format.fprintf ppf "@]"
 

@@ -35,7 +35,6 @@ type t
 
 val create :
   ?seen_capacity:int ->
-  ?layout:Config.layout ->
   id:Sim.Node_id.t ->
   filter:Geometry.Rect.t ->
   unit ->
@@ -43,18 +42,13 @@ val create :
 (** A fresh, isolated process: active at height [0] only, with
     [mbr = filter] and [parent = id] (it is its own root).
     [seen_capacity] (default 4096, see {!Config.t}) bounds the
-    {!mark_seen} dedup window. [layout] (default [Flat]) picks the
-    level-store realization — a per-height hashtable, or a dense array
-    delimited by [top] exploiting the invariant that active heights
-    are always the contiguous range [0..top] (DESIGN.md §11); the two
-    are observationally identical.
+    {!mark_seen} dedup window. The levels are a dense array delimited
+    by [top], exploiting the invariant that active heights are always
+    the contiguous range [0..top] (DESIGN.md §11).
     @raise Invalid_argument if [seen_capacity < 1]. *)
 
 val id : t -> Sim.Node_id.t
 val filter : t -> Geometry.Rect.t
-
-val layout : t -> Config.layout
-(** Which realization this state was created with. *)
 
 val top : t -> int
 (** Topmost active height. *)

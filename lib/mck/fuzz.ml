@@ -57,11 +57,12 @@ let pp_summary ppf s =
     s.final_legal
 
 (* Counter fingerprint of a run: every telemetry and engine counter
-   that could observe a layout difference. The layout differential
-   compares these {e exactly} on every trace — the layouts share every
-   RNG draw and every iteration-order-sensitive path sorts before use,
-   so any divergence at all is a bug, never schedule noise (contrast
-   the looser cross-scheduler comparison below). *)
+   that could observe a difference in an execution. The forest
+   differential and the golden corpus in test_mck.ml compare these
+   {e exactly} — every RNG draw is seeded and every
+   iteration-order-sensitive path sorts before use, so any divergence
+   at all is a bug, never schedule noise (contrast the looser
+   cross-scheduler comparison below). *)
 type fingerprint = {
   fp_probes : int;
   fp_execs : int;
@@ -92,12 +93,11 @@ let pp_fingerprint ppf f =
          Format.fprintf ppf "%s:%d/%d/%d/%d" k sm sb rm rb))
     f.fp_traffic
 
-let run_trace_full ?(probes = 3) ?(domains = 1) (tr : Trace.t) =
+let run_trace_full ?(probes = 3) (tr : Trace.t) =
   let cfg =
     Drtree.Config.make ~min_fill:tr.Trace.min_fill ~max_fill:tr.Trace.max_fill
       ~cover_sweep:tr.Trace.cover_sweep ~scheduler:tr.Trace.scheduler
-      ~layout:tr.Trace.layout ~detector:tr.Trace.detector
-      ~forest:tr.Trace.forest ~domains ()
+      ~detector:tr.Trace.detector ~forest:tr.Trace.forest ()
   in
   let transport =
     match tr.Trace.transport with
@@ -434,11 +434,11 @@ let run_trace_full ?(probes = 3) ?(domains = 1) (tr : Trace.t) =
     },
     fp )
 
-let run_trace_summary ?probes ?domains tr =
-  let outcome, summary, _ = run_trace_full ?probes ?domains tr in
+let run_trace_summary ?probes tr =
+  let outcome, summary, _ = run_trace_full ?probes tr in
   (outcome, summary)
 
-let run_trace ?probes ?domains tr = fst (run_trace_summary ?probes ?domains tr)
+let run_trace ?probes tr = fst (run_trace_summary ?probes tr)
 
 (* {2 Cross-scheduler differential}
 
@@ -451,13 +451,13 @@ let run_trace ?probes ?domains tr = fst (run_trace_summary ?probes ?domains tr)
    interacting repairs (rare — roughly one trace in a thousand) can
    settle on different, equally legal trees; see DESIGN.md §10. *)
 
-let run_scheduler_differential ?probes ?domains (tr : Trace.t) =
+let run_scheduler_differential ?probes (tr : Trace.t) =
   let of_sched scheduler = { tr with Trace.scheduler } in
   let o_full, s_full =
-    run_trace_summary ?probes ?domains (of_sched Drtree.Config.Full_sweep)
+    run_trace_summary ?probes (of_sched Drtree.Config.Full_sweep)
   in
   let o_inc, s_inc =
-    run_trace_summary ?probes ?domains (of_sched Drtree.Config.Incremental)
+    run_trace_summary ?probes (of_sched Drtree.Config.Incremental)
   in
   let verdict = function
     | Passed -> "pass"
@@ -486,118 +486,26 @@ let run_scheduler_differential ?probes ?domains (tr : Trace.t) =
          pp_summary s_full pp_summary s_inc)
   else Ok (o_full, s_full)
 
-(* {2 Layout differential}
-
-   The same trace under [Hashed] and [Flat] must be bit-identical in
-   every observable: exact verdict (location and message), exact final
-   shape {e including height}, and exact counter fingerprint down to
-   the byte accounting — on every trace, faulty or hostile included.
-   The layout touches no RNG draw and no schedule decision, so unlike
-   the cross-scheduler differential there is no legitimate source of
-   divergence to excuse. *)
-
-let run_layout_differential ?probes ?domains (tr : Trace.t) =
-  let of_layout layout = { tr with Trace.layout } in
-  let o_h, s_h, f_h =
-    run_trace_full ?probes ?domains (of_layout Drtree.Config.Hashed)
-  in
-  let o_f, s_f, f_f =
-    run_trace_full ?probes ?domains (of_layout Drtree.Config.Flat)
-  in
-  let describe = function
-    | Passed -> "pass"
-    | Failed f -> Format.asprintf "fail at %a: %s" pp_location f.at f.what
-  in
-  let outcomes_equal =
-    match (o_h, o_f) with
-    | Passed, Passed -> true
-    | Failed a, Failed b -> a.at = b.at && a.what = b.what
-    | Passed, Failed _ | Failed _, Passed -> false
-  in
-  if not outcomes_equal then
-    Error
-      (Printf.sprintf "layout verdicts differ: hashed=%s flat=%s"
-         (describe o_h) (describe o_f))
-  else if s_h <> s_f then
-    Error
-      (Format.asprintf "layout shapes differ: hashed=%a flat=%a" pp_summary
-         s_h pp_summary s_f)
-  else if f_h <> f_f then
-    Error
-      (Format.asprintf
-         "layout fingerprints differ:@ hashed=%a@ flat=%a" pp_fingerprint f_h
-         pp_fingerprint f_f)
-  else Ok (o_f, s_f)
-
-(* {2 Domains differential}
-
-   The same trace at every domain count must be bit-identical in every
-   observable, the layout differential's standard: the parallel round
-   sections are read-only audits committed only when the sequential
-   pass would have been a no-op, plus order-preserving merges
-   (DESIGN.md §12), so like the layout there is no RNG draw and no
-   schedule decision for the shard count to touch — any divergence is
-   a parallelism bug. *)
-
-let run_domains_differential ?probes ?(domain_counts = [ 1; 2; 4 ])
-    (tr : Trace.t) =
-  let describe = function
-    | Passed -> "pass"
-    | Failed f -> Format.asprintf "fail at %a: %s" pp_location f.at f.what
-  in
-  match domain_counts with
-  | [] -> invalid_arg "run_domains_differential: empty domain_counts"
-  | d0 :: rest ->
-      let o0, s0, f0 = run_trace_full ?probes ~domains:d0 tr in
-      let rec compare_rest = function
-        | [] -> Ok (o0, s0)
-        | d :: rest -> (
-            let o, s, f = run_trace_full ?probes ~domains:d tr in
-            let outcomes_equal =
-              match (o0, o) with
-              | Passed, Passed -> true
-              | Failed a, Failed b -> a.at = b.at && a.what = b.what
-              | Passed, Failed _ | Failed _, Passed -> false
-            in
-            if not outcomes_equal then
-              Error
-                (Printf.sprintf
-                   "domain verdicts differ: domains=%d %s, domains=%d %s" d0
-                   (describe o0) d (describe o))
-            else if s0 <> s then
-              Error
-                (Format.asprintf
-                   "domain shapes differ: domains=%d %a, domains=%d %a" d0
-                   pp_summary s0 d pp_summary s)
-            else if f0 <> f then
-              Error
-                (Format.asprintf
-                   "domain fingerprints differ:@ domains=%d %a@ domains=%d %a"
-                   d0 pp_fingerprint f0 d pp_fingerprint f)
-            else compare_rest rest)
-      in
-      compare_rest rest
-
 (* {2 Forest differential}
 
    [Sharded] with one shard must be the single tree: the whole forest
    machinery — the rendezvous grid, the per-shard claimant caches, the
    shard-scoped oracle/election/repair guards, the cross-shard publish
    fan-out — must reduce to exactly the pre-forest code path at one
-   shard. The comparison is the layout differential's standard: exact
-   verdict, exact shape, exact counter fingerprint, on every trace,
+   shard. The comparison is exact: exact verdict, exact shape, exact
+   counter fingerprint down to the byte accounting, on every trace,
    faulty or hostile included. The forest touches no RNG draw and no
    schedule decision at one shard (the only oracle draw filters a
    one-shard population, i.e. everyone), so any divergence is a
    rendezvous-abstraction bug (DESIGN.md §14). *)
 
-let run_forest_differential ?probes ?domains (tr : Trace.t) =
+let run_forest_differential ?probes (tr : Trace.t) =
   let of_forest forest = { tr with Trace.forest } in
   let o_s, s_s, f_s =
-    run_trace_full ?probes ?domains (of_forest Drtree.Config.Single)
+    run_trace_full ?probes (of_forest Drtree.Config.Single)
   in
   let o_1, s_1, f_1 =
-    run_trace_full ?probes ?domains
+    run_trace_full ?probes
       (of_forest (Drtree.Config.Sharded { shards = 1 }))
   in
   let describe = function
@@ -650,7 +558,6 @@ let random_trace rng ?(nodes = 8) ?(ops = 10) ?(mode = Trace.Shared)
     ?(transport = Trace.Inproc) ?(sched = Schedule.Random) ?(drop = 0.0)
     ?(dup = 0.0) ?(cover_sweep = true)
     ?(scheduler = Drtree.Config.Full_sweep)
-    ?(layout = Drtree.Config.Flat)
     ?(detector = Drtree.Config.Oracle)
     ?(forest = Drtree.Config.Single) () =
   let seed = 1 + Rng.int rng 1_000_000 in
@@ -666,20 +573,19 @@ let random_trace rng ?(nodes = 8) ?(ops = 10) ?(mode = Trace.Shared)
     dup;
     cover_sweep;
     scheduler;
-    layout;
     detector;
     forest;
     prelude = List.init n_pre (fun _ -> random_rect rng);
     ops = List.init ops (fun _ -> random_op rng);
   }
 
-let fuzz ?probes ?domains ?(stop = fun () -> false)
+let fuzz ?probes ?(stop = fun () -> false)
     ?(on_trace = fun _ _ _ -> ()) ~traces ~gen () =
   let rec go i =
     if i >= traces || stop () then None
     else begin
       let tr = gen i in
-      let outcome = run_trace ?probes ?domains tr in
+      let outcome = run_trace ?probes tr in
       on_trace i tr outcome;
       match outcome with
       | Passed -> go (i + 1)

@@ -56,13 +56,9 @@ val height_bound : min_fill:int -> int -> int
 (** Largest height a legal tree on [n] processes can have
     ([n >= 2 * m^(h-1)]). *)
 
-val run_trace : ?probes:int -> ?domains:int -> Trace.t -> outcome
+val run_trace : ?probes:int -> Trace.t -> outcome
 (** Execute one trace from scratch; deterministic in the trace.
-    [probes] (default 3) is the number of final oracle publications.
-    [domains] (default 1) overrides [Config.domains] for the run —
-    not a trace field, because any count is bit-identical
-    ({!run_domains_differential} proves it), so it never identifies a
-    counterexample. *)
+    [probes] (default 3) is the number of final oracle publications. *)
 
 type summary = { final_size : int; final_height : int; final_legal : bool }
 (** Shape fingerprint of the overlay a trace leaves behind. *)
@@ -70,7 +66,7 @@ type summary = { final_size : int; final_height : int; final_legal : bool }
 val pp_summary : Format.formatter -> summary -> unit
 
 val run_trace_summary :
-  ?probes:int -> ?domains:int -> Trace.t -> outcome * summary
+  ?probes:int -> Trace.t -> outcome * summary
 (** {!run_trace}, also returning the final shape. *)
 
 type fingerprint = {
@@ -90,16 +86,16 @@ type fingerprint = {
       (** kind, sent msgs/bytes, recv msgs/bytes; kind-sorted *)
 }
 (** Counter fingerprint of a run: every telemetry and engine counter
-    that could observe a state-layout difference. *)
+    that could observe a difference in an execution. *)
 
 val pp_fingerprint : Format.formatter -> fingerprint -> unit
 
 val run_trace_full :
-  ?probes:int -> ?domains:int -> Trace.t -> outcome * summary * fingerprint
+  ?probes:int -> Trace.t -> outcome * summary * fingerprint
 (** {!run_trace_summary}, also returning the counter fingerprint. *)
 
 val run_scheduler_differential :
-  ?probes:int -> ?domains:int -> Trace.t -> (outcome * summary, string) result
+  ?probes:int -> Trace.t -> (outcome * summary, string) result
 (** Run the trace twice — under [Config.Full_sweep] and
     [Config.Incremental] (overriding its [scheduler] field) — and
     compare: the verdicts must agree, and under a strict schedule
@@ -115,47 +111,14 @@ val run_scheduler_differential :
     a scheduler-equivalence counterexample; [Ok] carries the full-sweep
     run's outcome and shape. *)
 
-val run_layout_differential :
-  ?probes:int -> ?domains:int -> Trace.t -> (outcome * summary, string) result
-(** Run the trace twice — under [Config.Hashed] and [Config.Flat]
-    (overriding its [layout] field) — and require bit-identical
-    observables on {e every} trace, faulty or hostile included: exact
-    verdict (failure location and message), exact final shape
-    including height, and exact {!fingerprint} down to the byte
-    accounting. Strictly harsher than {!run_scheduler_differential}:
-    the layout touches no RNG draw and no schedule decision, so there
-    is no legitimate source of divergence to excuse — any [Error] is a
-    layout bug (DESIGN.md §11). [Ok] carries the flat run's outcome
-    and shape. *)
-
-val run_domains_differential :
-  ?probes:int ->
-  ?domain_counts:int list ->
-  Trace.t ->
-  (outcome * summary, string) result
-(** Run the trace once per entry of [domain_counts] (default
-    [\[1; 2; 4\]], first entry the baseline) and require bit-identical
-    observables at every count, on {e every} trace, faulty or hostile
-    included: exact verdict (failure location and message), exact
-    final shape including height, and exact {!fingerprint} down to
-    the byte accounting — the layout differential's standard. The
-    parallel round sections are read-only audits committed only when
-    the sequential pass would have been a no-op, plus
-    order-preserving merges (DESIGN.md §12), so the shard count
-    touches no RNG draw and no schedule decision; any [Error] is a
-    parallelism bug. [Ok] carries the baseline run's outcome and
-    shape.
-    @raise Invalid_argument on an empty [domain_counts]. *)
-
 val run_forest_differential :
-  ?probes:int -> ?domains:int -> Trace.t -> (outcome * summary, string) result
+  ?probes:int -> Trace.t -> (outcome * summary, string) result
 (** Run the trace twice — under [Config.Single] and
     [Config.Sharded {shards = 1}] (overriding its [forest] field) —
     and require bit-identical observables on {e every} trace, faulty
     or hostile included: exact verdict (failure location and message),
     exact final shape including height, and exact {!fingerprint} down
-    to the byte accounting — the layout differential's standard. A
-    one-shard forest runs the whole rendezvous machinery (grid,
+    to the byte accounting. A one-shard forest runs the whole rendezvous machinery (grid,
     per-shard claimant caches, shard-scoped election and repair
     guards, cross-shard fan-out loops) yet must reduce to exactly the
     pre-forest single tree; the forest touches no RNG draw and no
@@ -178,7 +141,6 @@ val random_trace :
   ?dup:float ->
   ?cover_sweep:bool ->
   ?scheduler:Drtree.Config.scheduler ->
-  ?layout:Drtree.Config.layout ->
   ?detector:Drtree.Config.detector ->
   ?forest:Drtree.Config.forest ->
   unit ->
@@ -189,7 +151,6 @@ val random_trace :
 
 val fuzz :
   ?probes:int ->
-  ?domains:int ->
   ?stop:(unit -> bool) ->
   ?on_trace:(int -> Trace.t -> outcome -> unit) ->
   traces:int ->

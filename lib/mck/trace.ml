@@ -39,7 +39,6 @@ type t = {
   dup : float;
   cover_sweep : bool;
   scheduler : Drtree.Config.scheduler;
-  layout : Drtree.Config.layout;
   detector : Drtree.Config.detector;
   forest : Drtree.Config.forest;
   prelude : R.t list;
@@ -61,13 +60,12 @@ let pp_op ppf = function
 let pp ppf t =
   Format.fprintf ppf
     "@[<v>seed=%d mode=%s transport=%s m=%d M=%d sched=%a drop=%g dup=%g \
-     cover_sweep=%b scheduler=%s layout=%s detector=%s forest=%s@,\
+     cover_sweep=%b scheduler=%s detector=%s forest=%s@,\
      prelude (%d joins):@,%a@,ops (%d):@,%a@]"
     t.seed (mode_to_string t.mode)
     (transport_to_string t.transport)
     t.min_fill t.max_fill Schedule.pp_kind t.sched t.drop t.dup t.cover_sweep
     (Drtree.Config.scheduler_to_string t.scheduler)
-    (Drtree.Config.layout_to_string t.layout)
     (Drtree.Config.detector_to_string t.detector)
     (Drtree.Config.forest_to_string t.forest)
     (List.length t.prelude)
@@ -119,7 +117,6 @@ let to_string t =
   line "dup %s" (float_str t.dup);
   line "cover_sweep %s" (if t.cover_sweep then "on" else "off");
   line "scheduler %s" (Drtree.Config.scheduler_to_string t.scheduler);
-  line "layout %s" (Drtree.Config.layout_to_string t.layout);
   line "detector %s" (Drtree.Config.detector_to_string t.detector);
   line "forest %s" (Drtree.Config.forest_to_string t.forest);
   List.iter (fun r -> line "prelude %s" (rect_str r)) t.prelude;
@@ -139,7 +136,6 @@ let default =
     dup = 0.0;
     cover_sweep = true;
     scheduler = Drtree.Config.Full_sweep;
-    layout = Drtree.Config.Flat;
     detector = Drtree.Config.Oracle;
     forest = Drtree.Config.Single;
     prelude = [];
@@ -233,10 +229,11 @@ let of_string s =
                 match Drtree.Config.scheduler_of_string v with
                 | Ok sch -> t := { !t with scheduler = sch }
                 | Error e -> fail "%s: %s" ctx e)
-            | [ "layout"; v ] -> (
-                match Drtree.Config.layout_of_string v with
-                | Ok l -> t := { !t with layout = l }
-                | Error e -> fail "%s: %s" ctx e)
+            | [ "layout"; ("hashed" | "flat") ] ->
+                (* legacy directive: both store layouts replayed
+                   identically, and only the flat one remains *)
+                ()
+            | [ "layout"; v ] -> fail "%s: unknown layout %S" ctx v
             | [ "detector"; v ] -> (
                 match Drtree.Config.detector_of_string v with
                 | Ok d -> t := { !t with detector = d }

@@ -58,12 +58,6 @@ type t = {
       (** which repair scheduler the replayed overlay runs
           (DESIGN.md §10); traces without a [scheduler] line parse as
           [Full_sweep] (backward-compatible) *)
-  layout : Drtree.Config.layout;
-      (** which state-store layout the replayed overlay runs
-          (DESIGN.md §11); traces without a [layout] line parse as
-          [Flat] (backward-compatible — the layouts are held
-          observationally identical by the layout differential, so old
-          counterexamples replay unchanged) *)
   detector : Drtree.Config.detector;
       (** which failure detector the replayed overlay runs
           (DESIGN.md §13); traces without a [detector] line parse as
@@ -86,8 +80,8 @@ type t = {
 
 val default : t
 (** Seed 1, shared mode, inproc transport, [m = 2], [M = 4], FIFO
-    schedule, no faults, cover sweep on, full-sweep scheduler, flat
-    layout, oracle detector, single forest, empty prelude and ops. *)
+    schedule, no faults, cover sweep on, full-sweep scheduler, oracle
+    detector, single forest, empty prelude and ops. *)
 
 val pp_op : Format.formatter -> op -> unit
 val pp : Format.formatter -> t -> unit
@@ -95,7 +89,10 @@ val pp : Format.formatter -> t -> unit
 (** {2 Codec}
 
     Line-oriented text; floats are printed with [%.17g] and round-trip
-    exactly. [of_string (to_string t)] re-reads [t] unchanged. *)
+    exactly. [of_string (to_string t)] re-reads [t] unchanged. Older
+    traces may carry a [layout hashed] or [layout flat] line, from
+    when the state store had two realizations; [of_string] accepts
+    and ignores it (both replayed identically). *)
 
 val to_string : t -> string
 val of_string : string -> (t, string) result

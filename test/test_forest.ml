@@ -6,8 +6,8 @@
    set, and the publish fan-out set must equal a brute-force scan over
    every grid cell — the mapper is the only routing authority in
    forest mode, so these properties carry the zero-false-negative
-   argument. Then the overlay: shard assignment is deterministic
-   across layouts and domain counts, a sharded build converges to a
+   argument. Then the overlay: shard assignment is deterministic, a
+   sharded build converges to a
    legal forest with exact delivery, and a one-shard forest is
    indistinguishable from [Single] down to the telemetry fingerprint
    (the mck forest differential). *)
@@ -149,11 +149,8 @@ let test_mapper_edges () =
 
 (* --- The overlay ---------------------------------------------------------- *)
 
-let build_sharded ?(shards = 4) ?(layout = Cfg.default.Cfg.layout)
-    ?(domains = 1) ~seed n =
-  let cfg =
-    Cfg.make ~forest:(Cfg.Sharded { shards }) ~layout ~domains ()
-  in
+let build_sharded ?(shards = 4) ~seed n =
+  let cfg = Cfg.make ~forest:(Cfg.Sharded { shards }) () in
   let ov = O.create ~cfg ~seed () in
   let rng = Rng.make ((seed * 13) + 7) in
   let rects = Sg.clustered () Workload.Space.default rng n in
@@ -161,19 +158,26 @@ let build_sharded ?(shards = 4) ?(layout = Cfg.default.Cfg.layout)
   ignore (O.stabilize ~max_rounds:100 ~legal:Inv.is_legal ov);
   ov
 
-(* Shard assignment is a pure function of the filter: the hashed and
-   flat layouts and any domain count agree on every home and on every
-   designated root. *)
+(* Shard assignment is a pure function of the filter: every home is
+   the mapper's answer for the process's filter, and two builds from
+   the same seed agree on every home and on every designated root. *)
 let test_assignment_deterministic () =
   let snapshot ov =
     ( List.map (fun id -> (id, O.shard_of ov id)) (O.alive_ids ov),
       O.shard_roots ov )
   in
-  let base = snapshot (build_sharded ~layout:Cfg.Hashed ~seed:41 80) in
-  check_bool "flat layout agrees with hashed" true
-    (snapshot (build_sharded ~layout:Cfg.Flat ~seed:41 80) = base);
-  check_bool "domains=2 agrees with sequential" true
-    (snapshot (build_sharded ~layout:Cfg.Flat ~domains:2 ~seed:41 80) = base)
+  let ov = build_sharded ~seed:41 80 in
+  List.iter
+    (fun id ->
+      match O.state ov id with
+      | Some s ->
+          check_int "home = mapper's shard of the filter"
+            (Rdv.home_shard (O.rendezvous ov) (Drtree.State.filter s))
+            (O.shard_of ov id)
+      | None -> Alcotest.fail "live process without state")
+    (O.alive_ids ov);
+  check_bool "a rebuild agrees on homes and roots" true
+    (snapshot (build_sharded ~seed:41 80) = snapshot ov)
 
 (* A sharded build converges to a legal forest (per-shard root
    uniqueness and reachability included) and publishes exactly:
@@ -263,8 +267,8 @@ let () =
         ] );
       ( "overlay",
         [
-          Alcotest.test_case "assignment deterministic across layouts/domains"
-            `Quick test_assignment_deterministic;
+          Alcotest.test_case "assignment deterministic" `Quick
+            test_assignment_deterministic;
           Alcotest.test_case "sharded build legal, delivery exact" `Quick
             test_sharded_build_exact;
         ] );

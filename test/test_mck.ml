@@ -136,6 +136,88 @@ let test_wire_transport_traces () =
       (outcome_str wire)
   done
 
+(* --- Golden fingerprint corpus ---------------------------------------------------- *)
+
+(* 48 fixed-seed random traces over every default-reachable axis —
+   inproc/wire x full/incremental x oracle/heartbeat x single/sharded:2,
+   each combination run clean-FIFO (shared), hostile-schedule
+   (message passing) and lossy (drop + dup). Each run's verdict, final
+   shape and counter fingerprint must match the committed expected
+   output byte for byte: any change to a schedule decision, RNG draw,
+   probe count or byte accounting shows up as a diff. *)
+
+let golden_file = "golden_fingerprints.txt"
+
+let golden_trace i =
+  let transport = if i land 1 = 0 then Trace.Inproc else Trace.Wire in
+  let scheduler =
+    if i land 2 = 0 then Drtree.Config.Full_sweep else Drtree.Config.Incremental
+  in
+  let detector =
+    if i land 4 = 0 then Drtree.Config.Oracle else Drtree.Config.default_heartbeat
+  in
+  let forest =
+    if i land 8 = 0 then Drtree.Config.Single
+    else Drtree.Config.Sharded { shards = 2 }
+  in
+  let mode, sched, drop, dup =
+    match i / 16 with
+    | 0 -> (Trace.Shared, Schedule.Fifo, 0.0, 0.0)
+    | 1 -> (Trace.Message_passing, Schedule.Random, 0.0, 0.0)
+    | _ -> (Trace.Shared, Schedule.Random, 0.1, 0.05)
+  in
+  Fuzz.random_trace (Sim.Rng.make (0x901d + i)) ~mode ~transport ~sched ~drop
+    ~dup ~scheduler ~detector ~forest ()
+
+let golden_line i =
+  let tr = golden_trace i in
+  let outcome, summary, fp = Fuzz.run_trace_full ~probes:2 tr in
+  Format.asprintf "%02d %s %s %s %s %s drop=%g dup=%g | %s | %a | %a" i
+    (Trace.mode_to_string tr.Trace.mode)
+    (Trace.transport_to_string tr.Trace.transport)
+    (Drtree.Config.scheduler_to_string tr.Trace.scheduler)
+    (Drtree.Config.detector_to_string tr.Trace.detector)
+    (Drtree.Config.forest_to_string tr.Trace.forest)
+    tr.Trace.drop tr.Trace.dup (outcome_str outcome) Fuzz.pp_summary summary
+    Fuzz.pp_fingerprint fp
+
+let read_lines file =
+  let ic = open_in file in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () ->
+      let rec go acc =
+        match input_line ic with
+        | l -> go (l :: acc)
+        | exception End_of_file -> List.rev acc
+      in
+      go [])
+
+(* On a mismatch the full actual corpus is written next to the test
+   binary (golden_fingerprints.actual), ready to diff against the
+   committed file. *)
+let test_golden_corpus () =
+  let actual = List.init 48 golden_line in
+  let expected = read_lines golden_file in
+  if actual <> expected then begin
+    let out = "golden_fingerprints.actual" in
+    let oc = open_out out in
+    List.iter (fun l -> output_string oc (l ^ "\n")) actual;
+    close_out oc;
+    let first =
+      let rec go i = function
+        | a :: ra, e :: re -> if a = e then go (i + 1) (ra, re) else i
+        | _ -> i
+      in
+      go 0 (actual, expected)
+    in
+    Alcotest.failf "golden corpus differs from %s at line %d (actual in %s):@.\
+                    want %s@.got  %s"
+      golden_file (first + 1) (Filename.concat (Sys.getcwd ()) out)
+      (Option.value ~default:"<missing>" (List.nth_opt expected first))
+      (Option.value ~default:"<missing>" (List.nth_opt actual first))
+  end
+
 (* --- The planted cover-sweep bug ------------------------------------------------ *)
 
 let find_planted_failure () =
@@ -206,7 +288,6 @@ let exemplar =
     dup = 0.0625;
     cover_sweep = false;
     scheduler = Drtree.Config.Incremental;
-    layout = Drtree.Config.Hashed;
     detector = Drtree.Config.Oracle;
     forest = Drtree.Config.Sharded { shards = 3 };
     prelude = [ rect 1.5 2.25 8.75 9.125; rect 0.1 0.2 0.3 0.4 ];
@@ -249,6 +330,33 @@ let test_codec_rejects_garbage () =
   check_bool "bad aggregate function" true
     (Result.is_error
        (Trace.of_string "drtree-trace v1\nop agg zeal 0 0 1 1\nend\n"))
+
+(* A heartbeat period survives the trace codec exactly, whatever its
+   digits: [detector_to_string] must not round it (a rounded period
+   would replay a different schedule). *)
+let codec_detector_period_exact =
+  QCheck2.Test.make ~name:"heartbeat period of_string . to_string = id"
+    ~count:500
+    QCheck2.Gen.(
+      triple
+        (oneof
+           [ float_range 1e-6 1e6; map (fun k -> float_of_int k /. 8.) (int_range 1 80);
+             map Float.abs float ])
+        (int_range 1 9) (int_range 0 5))
+    (fun (period, timeout_factor, fallbacks) ->
+      QCheck2.assume (Float.is_finite period && period > 0.0);
+      let d =
+        Drtree.Config.Heartbeat { period; timeout_factor; fallbacks }
+      in
+      let t = { exemplar with Trace.detector = d } in
+      (match Drtree.Config.detector_of_string (Drtree.Config.detector_to_string d) with
+      | Ok d' when d' = d -> ()
+      | Ok _ | Error _ ->
+          QCheck2.Test.fail_reportf "detector string %S does not round-trip"
+            (Drtree.Config.detector_to_string d));
+      match Trace.of_string (Trace.to_string t) with
+      | Ok t' -> t'.Trace.detector = d
+      | Error e -> QCheck2.Test.fail_reportf "trace rejected: %s" e)
 
 let test_codec_save_load () =
   let file = Filename.temp_file "drtree-mck" ".trace" in
@@ -305,6 +413,8 @@ let () =
             test_run_trace_deterministic;
           Alcotest.test_case "wire transport, same verdicts" `Quick
             test_wire_transport_traces;
+          Alcotest.test_case "48-trace golden fingerprint corpus" `Quick
+            test_golden_corpus;
         ] );
       ( "planted-bug",
         [
@@ -321,6 +431,7 @@ let () =
           Alcotest.test_case "rejects garbage" `Quick
             test_codec_rejects_garbage;
           Alcotest.test_case "save/load" `Quick test_codec_save_load;
+          QCheck_alcotest.to_alcotest codec_detector_period_exact;
         ] );
       ( "shrinker",
         [

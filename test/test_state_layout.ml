@@ -1,22 +1,17 @@
-(* The flat interned state layout (DESIGN.md §11): the intern table's
-   slot contract under churn, packed dirty keys, Hashed-vs-Flat
-   observational equivalence of [State] under random activation
-   sequences, the layout directive in the trace codec, and the
-   layout-differential harness over random traces — the headline
-   bit-identical guarantee, at test scale (the CI smoke and
-   `fuzz --layout differential` run it at thousands of traces). *)
+(* The flat interned state store (DESIGN.md §11): the intern table's
+   slot contract under churn, packed dirty keys, the dense level array
+   of [State] against a per-height model under random activation
+   sequences, run fingerprints, and the legacy layout directive in the
+   trace codec. *)
 
 module R = Geometry.Rect
-module O = Drtree.Overlay
 module St = Drtree.State
-module Cfg = Drtree.Config
 module Intern = Drtree.Intern
 module Dirty = Drtree.Dirty
 module Trace = Mck.Trace
 module Fuzz = Mck.Fuzz
 
 let check_bool msg expected actual = Alcotest.(check bool) msg expected actual
-let check_int msg expected actual = Alcotest.(check int) msg expected actual
 
 (* --- Intern table: qcheck slot contract ---------------------------------- *)
 
@@ -170,176 +165,166 @@ let dirty_pack_round_trip =
       if not (Dirty.is_empty d) then QCheck2.Test.fail_reportf "drain left dirt";
       true)
 
-(* --- State: Hashed vs Flat observational equivalence --------------------- *)
+(* --- State: the dense level array against a model ------------------------ *)
 
-(* Drive both layouts through the same random activate/deactivate/write
-   sequence; every observation (top, activity, level fields, memory,
-   even the printed form) must agree. In particular re-activation must
-   see fresh cells under Flat, not stale spares. *)
-let state_layout_equivalence =
-  QCheck2.Test.make ~name:"Hashed and Flat states are observationally equal"
+(* Drive a [State] and a per-height model (a table holding exactly the
+   active levels) through the same random activate/deactivate/write
+   sequence; every observation must agree. In particular re-activation
+   must see fresh cells, not the stale spares left above [top]. *)
+type model_level = {
+  m_children : Sim.Node_id.Set.t;
+  m_parent : int;
+  m_underloaded : bool;
+}
+
+let state_matches_model =
+  QCheck2.Test.make ~name:"levels match a per-height model"
     ~count:200
     QCheck2.Gen.(list_size (int_range 1 40) (pair (int_range 0 3) (int_range 0 12)))
     (fun ops ->
+      let id = 7 in
       let filter = R.make2 ~x0:1.0 ~y0:2.0 ~x1:3.0 ~y1:4.0 in
-      let a = St.create ~layout:Cfg.Hashed ~id:7 ~filter () in
-      let b = St.create ~layout:Cfg.Flat ~id:7 ~filter () in
-      let apply s (op, h) =
+      let fresh =
+        { m_children = Sim.Node_id.Set.empty; m_parent = id;
+          m_underloaded = false }
+      in
+      let s = St.create ~id ~filter () in
+      let model = Hashtbl.create 8 and top = ref 0 in
+      Hashtbl.replace model 0 fresh;
+      let apply (op, h) =
         match op with
-        | 0 -> ignore (St.activate s h)
-        | 1 -> St.deactivate_above s h
+        | 0 ->
+            ignore (St.activate s h);
+            for h' = 0 to h do
+              if not (Hashtbl.mem model h') then Hashtbl.replace model h' fresh
+            done;
+            top := max !top h
+        | 1 ->
+            St.deactivate_above s h;
+            for h' = max h 0 + 1 to !top do
+              Hashtbl.remove model h'
+            done;
+            top := min !top (max h 0)
         | 2 -> (
             match St.level s h with
             | Some l ->
+                let children = Sim.Node_id.Set.of_list [ h; h + 1 ] in
                 l.St.parent <- h + 100;
-                l.St.children <- Sim.Node_id.Set.of_list [ h; h + 1 ]
+                l.St.children <- children;
+                let m = Hashtbl.find model h in
+                Hashtbl.replace model h
+                  { m with m_children = children; m_parent = h + 100 }
             | None -> ())
         | _ -> (
             match St.level s h with
-            | Some l -> l.St.underloaded <- not l.St.underloaded
+            | Some l ->
+                l.St.underloaded <- not l.St.underloaded;
+                let m = Hashtbl.find model h in
+                Hashtbl.replace model h
+                  { m with m_underloaded = not m.m_underloaded }
             | None -> ())
       in
       List.iter
         (fun op ->
-          apply a op;
-          apply b op;
-          if St.top a <> St.top b then
-            QCheck2.Test.fail_reportf "tops differ: %d vs %d" (St.top a)
-              (St.top b);
-          for h = -1 to St.top a + 2 do
-            if St.is_active a h <> St.is_active b h then
+          apply op;
+          if St.top s <> !top then
+            QCheck2.Test.fail_reportf "top %d, model %d" (St.top s) !top;
+          for h = -1 to !top + 2 do
+            if St.is_active s h <> Hashtbl.mem model h then
               QCheck2.Test.fail_reportf "activity at %d differs" h;
-            match (St.level a h, St.level b h) with
+            match (St.level s h, Hashtbl.find_opt model h) with
             | None, None -> ()
-            | Some la, Some lb ->
+            | Some l, Some m ->
                 if
                   not
-                    (Sim.Node_id.Set.equal la.St.children lb.St.children
-                    && la.St.parent = lb.St.parent
-                    && la.St.underloaded = lb.St.underloaded
-                    && R.equal la.St.mbr lb.St.mbr)
+                    (Sim.Node_id.Set.equal l.St.children m.m_children
+                    && l.St.parent = m.m_parent
+                    && l.St.underloaded = m.m_underloaded
+                    && R.equal l.St.mbr filter)
                 then QCheck2.Test.fail_reportf "level %d differs" h
             | _ -> QCheck2.Test.fail_reportf "presence at %d differs" h
           done;
-          if St.memory_words a <> St.memory_words b then
-            QCheck2.Test.fail_reportf "memory_words differ";
-          if St.is_root a (St.top a) <> St.is_root b (St.top b) then
-            QCheck2.Test.fail_reportf "is_root differs";
-          let show s = Format.asprintf "%a" St.pp s in
-          if show a <> show b then
-            QCheck2.Test.fail_reportf "printed forms differ:@.%s@.%s" (show a)
-              (show b))
+          let words =
+            Hashtbl.fold
+              (fun _ m acc -> acc + Sim.Node_id.Set.cardinal m.m_children + 6)
+              model 0
+          in
+          if St.memory_words s <> words then
+            QCheck2.Test.fail_reportf "memory_words %d, model %d"
+              (St.memory_words s) words;
+          let root =
+            (Hashtbl.find model !top).m_parent = id
+          in
+          if St.is_root s (St.top s) <> root then
+            QCheck2.Test.fail_reportf "is_root differs")
         ops;
-      check_bool "layout accessor (hashed)" true (St.layout a = Cfg.Hashed);
-      check_bool "layout accessor (flat)" true (St.layout b = Cfg.Flat);
       true)
 
-(* --- Layout differential over random traces ------------------------------ *)
+(* --- Run fingerprints ----------------------------------------------------- *)
 
-let test_layout_differential () =
-  let base = 31_000 in
-  for i = 0 to 39 do
-    let rng = Sim.Rng.make (base + i) in
-    let tr = Fuzz.random_trace rng () in
-    match Fuzz.run_layout_differential ~probes:2 tr with
-    | Ok _ -> ()
-    | Error msg ->
-        Alcotest.failf "layout divergence on seed %d: %s@.%a" (base + i) msg
-          Trace.pp tr
-  done
-
-let test_layout_differential_wire () =
-  for i = 0 to 19 do
-    let rng = Sim.Rng.make (32_000 + i) in
-    let tr =
-      Fuzz.random_trace rng ~transport:Trace.Wire
-        ~scheduler:Cfg.Incremental ~drop:0.1 ()
-    in
-    match Fuzz.run_layout_differential ~probes:2 tr with
-    | Ok _ -> ()
-    | Error msg ->
-        Alcotest.failf "wire layout divergence on seed %d: %s" (32_000 + i) msg
-  done
-
-(* A corrupted detector: a deliberately divergent pair must be caught.
-   Rather than breaking the layouts, diverge the trace itself — the
-   harness compares fingerprints, so two different seeds under the two
-   layouts would differ; here we just confirm a fingerprint field
-   mismatch is reported through the public API. *)
-let test_layout_differential_detects () =
+(* The counter fingerprint is deterministic in the trace, and a
+   genuinely different run is distinguished: one extra prelude join
+   must show up in the message counters. *)
+let test_fingerprints_distinguish () =
   let rng = Sim.Rng.make 33_000 in
   let tr = Fuzz.random_trace rng () in
-  let _, _, fp_flat =
-    Fuzz.run_trace_full ~probes:2 { tr with Trace.layout = Cfg.Flat }
-  in
-  let _, _, fp_hashed =
-    Fuzz.run_trace_full ~probes:2 { tr with Trace.layout = Cfg.Hashed }
-  in
-  check_bool "fingerprints of the two layouts are equal" true
-    (fp_flat = fp_hashed);
-  (* and a genuinely different run has a different fingerprint: one
-     extra prelude join must show up in the message counters *)
+  let _, _, fp = Fuzz.run_trace_full ~probes:2 tr in
+  let _, _, fp_again = Fuzz.run_trace_full ~probes:2 tr in
+  check_bool "same trace, same fingerprint" true (fp = fp_again);
   let tr' =
     { tr with Trace.prelude = tr.Trace.prelude @ [ Fuzz.random_rect rng ] }
   in
   let _, _, fp' = Fuzz.run_trace_full ~probes:2 tr' in
-  check_bool "a perturbed run is distinguished" true (fp_flat <> fp')
+  check_bool "a perturbed run is distinguished" true (fp <> fp')
 
-(* --- Trace codec: the layout directive ----------------------------------- *)
+(* --- Trace codec: the legacy layout directive ----------------------------- *)
 
-let test_trace_layout_directive () =
-  let tr = { Trace.default with Trace.layout = Cfg.Hashed; seed = 5 } in
-  (match Trace.of_string (Trace.to_string tr) with
-  | Ok t -> check_bool "layout survives round-trip" true (t.Trace.layout = Cfg.Hashed)
-  | Error e -> Alcotest.fail e);
-  (* Old traces (no layout line) parse as Flat. *)
-  (match Trace.of_string "drtree-trace v1\nseed 3\nend\n" with
-  | Ok t ->
-      check_bool "missing directive defaults to flat" true
-        (t.Trace.layout = Cfg.Flat)
-  | Error e -> Alcotest.fail e);
-  match Trace.of_string "drtree-trace v1\nlayout bogus\nend\n" with
-  | Ok _ -> Alcotest.fail "bogus layout accepted"
-  | Error _ -> ()
-
-let test_layout_strings () =
+(* Traces saved while the state store had two layouts carry a
+   [layout hashed|flat] line. Both still parse, the line is dropped on
+   re-serialization, and the trace replays to exactly the fingerprint
+   of the same text without it. *)
+let test_legacy_layout_directive () =
+  let tr =
+    Fuzz.random_trace (Sim.Rng.make 34_000) ~transport:Trace.Wire ~drop:0.1 ()
+  in
+  let text = Trace.to_string tr in
+  let with_layout kind =
+    String.concat "\n"
+      (List.concat_map
+         (fun l ->
+           if String.starts_with ~prefix:"scheduler " l then
+             [ l; "layout " ^ kind ]
+           else [ l ])
+         (String.split_on_char '\n' text))
+  in
+  let replay text =
+    match Trace.of_string text with
+    | Ok t -> t
+    | Error e -> Alcotest.failf "legacy trace rejected: %s" e
+  in
+  let fingerprint t =
+    let outcome, summary, fp = Fuzz.run_trace_full ~probes:2 t in
+    Format.asprintf "%s | %a | %a"
+      (match outcome with
+      | Fuzz.Passed -> "passed"
+      | Fuzz.Failed f -> Format.asprintf "%a" Fuzz.pp_failure f)
+      Fuzz.pp_summary summary Fuzz.pp_fingerprint fp
+  in
+  let base = fingerprint (replay text) in
   List.iter
-    (fun l ->
-      match Cfg.layout_of_string (Cfg.layout_to_string l) with
-      | Ok l' -> check_bool "layout string round-trip" true (l = l')
-      | Error e -> Alcotest.failf "layout round-trip failed: %s" e)
-    [ Cfg.Hashed; Cfg.Flat ];
-  match Cfg.layout_of_string "bogus" with
-  | Ok _ -> Alcotest.fail "bogus layout accepted"
-  | Error _ -> ()
-
-(* --- Overlay smoke: both layouts build the same tree --------------------- *)
-
-let test_overlay_layout_agreement () =
-  let build layout =
-    let cfg = Cfg.make ~layout () in
-    let ov = O.create ~cfg ~seed:42 () in
-    let rng = Sim.Rng.make 420 in
-    for _ = 1 to 48 do
-      let x0 = Sim.Rng.range rng 0.0 90.0
-      and y0 = Sim.Rng.range rng 0.0 90.0 in
-      ignore (O.join ov (R.make2 ~x0 ~y0 ~x1:(x0 +. 5.0) ~y1:(y0 +. 5.0)))
-    done;
-    ignore (O.stabilize ~max_rounds:100 ~legal:Drtree.Invariant.is_legal ov);
-    ov
-  in
-  let ov_h = build Cfg.Hashed and ov_f = build Cfg.Flat in
-  check_int "same size" (O.size ov_h) (O.size ov_f);
-  check_int "same height" (O.height ov_h) (O.height ov_f);
-  check_bool "both legal" true
-    (Drtree.Invariant.is_legal ov_h && Drtree.Invariant.is_legal ov_f);
-  let dump ov =
-    let b = Buffer.create 256 in
-    O.iter_states ov (fun id s ->
-        Buffer.add_string b (Format.asprintf "%d:%a\n" id St.pp s));
-    Buffer.contents b
-  in
-  Alcotest.(check string) "identical per-process state" (dump ov_h) (dump ov_f)
+    (fun kind ->
+      let legacy = with_layout kind in
+      check_bool ("text carries layout " ^ kind) true (legacy <> text);
+      let t = replay legacy in
+      Alcotest.(check string)
+        ("layout " ^ kind ^ " line dropped on re-serialization")
+        text (Trace.to_string t);
+      Alcotest.(check string)
+        ("layout " ^ kind ^ " replays to the same fingerprint")
+        base (fingerprint t))
+    [ "hashed"; "flat" ];
+  check_bool "unknown layout rejected" true
+    (Result.is_error (Trace.of_string "drtree-trace v1\nlayout bogus\nend\n"))
 
 let () =
   Alcotest.run "state-layout"
@@ -351,26 +336,15 @@ let () =
           Alcotest.test_case "invalid inputs" `Quick test_intern_negative_id;
         ] );
       ("dirty", [ QCheck_alcotest.to_alcotest dirty_pack_round_trip ]);
-      ("state", [ QCheck_alcotest.to_alcotest state_layout_equivalence ]);
+      ("state", [ QCheck_alcotest.to_alcotest state_matches_model ]);
       ( "differential",
         [
-          Alcotest.test_case "40 random traces layout-identical" `Quick
-            test_layout_differential;
-          Alcotest.test_case "20 faulty wire traces layout-identical" `Quick
-            test_layout_differential_wire;
           Alcotest.test_case "fingerprints distinguish real divergence" `Quick
-            test_layout_differential_detects;
+            test_fingerprints_distinguish;
         ] );
       ( "codec",
         [
-          Alcotest.test_case "layout directive round-trip and defaults" `Quick
-            test_trace_layout_directive;
-          Alcotest.test_case "layout string round-trip" `Quick
-            test_layout_strings;
-        ] );
-      ( "overlay",
-        [
-          Alcotest.test_case "both layouts build identical trees" `Quick
-            test_overlay_layout_agreement;
+          Alcotest.test_case "legacy layout directive is ignored" `Quick
+            test_legacy_layout_directive;
         ] );
     ]
