@@ -315,7 +315,7 @@ type agg_measure = {
 (* One E24-style measurement (uniform workload, wire transport, the
    four standard queries, random-walk producers at filter centers) at
    a given forest configuration. Same seeds and constants as E24, so
-   at N=256 the [Single] measurement reproduces E24's tct=0 row. *)
+   at N=256 the one-shard measurement reproduces E24's tct=0 row. *)
 let agg_measure ~forest ~n ~epochs ~tct =
   let cfg = Drtree.Config.make ~forest () in
   let rng = Rng.make 2401 in
@@ -384,15 +384,12 @@ let e30 () =
   in
   List.iter
     (fun n ->
-      let single = ref None in
       List.iter
         (fun shards ->
-          let forest =
-            if shards = 1 then Drtree.Config.Single
-            else Drtree.Config.Sharded { shards }
+          let m =
+            agg_measure ~forest:(Drtree.Config.Sharded { shards }) ~n ~epochs
+              ~tct
           in
-          let m = agg_measure ~forest ~n ~epochs ~tct in
-          if shards = 1 then single := Some m;
           (* tct = 0 keeps every query exact at any shard count: the
              subscription fan-out covers every producer's home shard
              (the zero-false-negative argument, E29's dual). *)
@@ -416,19 +413,6 @@ let e30 () =
             (float_of_int m.m_merges /. float_of_int epochs)
             (float_of_int m.m_suppressed /. float_of_int epochs)
             m.m_mean_err m.m_max_err m.m_stale)
-        [ 1; 2; 4 ];
-      (* Sharded {shards = 1} must measure bit-identically to Single:
-         the forest differential, asserted at the bench level too. *)
-      let m1 =
-        agg_measure
-          ~forest:(Drtree.Config.Sharded { shards = 1 })
-          ~n ~epochs ~tct
-      in
-      match !single with
-      | Some m when m = m1 -> ()
-      | Some _ ->
-          failwith
-            (Printf.sprintf "E30: Sharded{1} diverges from Single at N=%d" n)
-      | None -> ())
+        [ 1; 2; 4 ])
     sizes;
   Table.print table

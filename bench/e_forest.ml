@@ -35,8 +35,7 @@ type e29_obs = {
 }
 
 let e29_run ~n ~shards =
-  let forest = if shards = 1 then Cfg.Single else Cfg.Sharded { shards } in
-  let cfg = Cfg.make ~forest () in
+  let cfg = Cfg.make ~forest:(Cfg.Sharded { shards }) () in
   (* Same subscription/event/publisher seeds at every shard count:
      only the forest shape varies across a row group. *)
   let rng = Rng.make (29000 + n) in

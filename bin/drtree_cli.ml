@@ -93,9 +93,6 @@ type mode_flag = {
   mf_fuzz_note : string;  (* fuzz trailing sentence: replay semantics *)
 }
 
-let bitwise_diff =
-  "require bit-identical verdicts, final shapes and telemetry/byte counters"
-
 let scheduler_flag =
   {
     mf_what = "Repair scheduler";
@@ -106,7 +103,9 @@ let scheduler_flag =
       Some
         "run every trace under both schedulers and require verdict (and, on \
          clean FIFO traces, final-shape) agreement";
-    mf_fuzz_note = "Replayed traces carry their own scheduler directive.";
+    mf_fuzz_note =
+      "Replayed traces carry their own scheduler directive; $(b,--replay) \
+       with differential replays the trace through the differential.";
   }
 
 let detector_flag =
@@ -131,13 +130,12 @@ let forest_flag =
   {
     mf_what = "Rendezvous forest";
     mf_values =
-      "single (one global DR-tree — the paper's model and the bit-identical \
-       default) or a shard count N (Z-order-partition the space into N \
+      "single (one global DR-tree — the paper's model and the default; \
+       same as 1) or a shard count N (Z-order-partition the space into N \
        independent DR-trees, each with its own designated root, election \
        scope and repair sweep; events fan out to every other shard root \
        whose MBR contains them)";
-    mf_diff =
-      Some ("run every trace under single and sharded:1 and " ^ bitwise_diff);
+    mf_diff = None;
     mf_fuzz_note = "Replayed traces carry their own forest directive.";
   }
 
@@ -151,7 +149,7 @@ let fuzz_doc f =
     f.mf_fuzz_note
 
 let make_cfg ?(scheduler = Cfg.Full_sweep) ?(detector = Cfg.Oracle)
-    ?(forest = Cfg.Single) min_fill max_fill split =
+    ?(forest = Cfg.default.Cfg.forest) min_fill max_fill split =
   Cfg.make ~min_fill ~max_fill ~split ~scheduler ~detector ~forest ()
 
 let scheduler_t =
@@ -192,11 +190,11 @@ let forest_conv =
   let print ppf f = Format.pp_print_string ppf (Cfg.forest_to_string f) in
   Arg.conv ~docv:"KIND" (parse, print)
 
-let forest_t =
+let forest_t doc =
   Arg.(
     value
-    & opt forest_conv Cfg.Single
-    & info [ "forest" ] ~docv:"KIND" ~doc:(build_doc forest_flag))
+    & opt forest_conv Cfg.default.Cfg.forest
+    & info [ "forest" ] ~docv:"KIND" ~doc:(doc forest_flag))
 
 let build_overlay ~cfg ~transport ~seed ~n ~workload =
   let rng = Rng.make (seed * 31) in
@@ -271,7 +269,7 @@ let build_cmd =
   Cmd.v (Cmd.info "build" ~doc:"Build an overlay and print its shape.")
     Term.(
       const run $ seed_t $ size_t $ workload_t $ min_fill_t $ max_fill_t
-      $ split_t $ transport_t $ scheduler_t $ detector_t $ forest_t)
+      $ split_t $ transport_t $ scheduler_t $ detector_t $ forest_t build_doc)
 
 (* --- publish ----------------------------------------------------------------- *)
 
@@ -587,7 +585,7 @@ let aggregate_cmd =
           aggregation) over epochs of synthetic readings.")
     Term.(
       const run $ seed_t $ size_t $ workload_t $ min_fill_t $ max_fill_t
-      $ split_t $ transport_t $ scheduler_t $ forest_t $ fn_t
+      $ split_t $ transport_t $ scheduler_t $ forest_t build_doc $ fn_t
       $ tct_t $ epochs_t $ rect_t)
 
 (* --- fuzz -------------------------------------------------------------------- *)
@@ -699,39 +697,22 @@ let fuzz_cmd =
       & opt detector_conv Cfg.Oracle
       & info [ "detector" ] ~docv:"KIND" ~doc:(fuzz_doc detector_flag))
   in
-  let fuzz_forest_t =
-    let parse = function
-      | "differential" -> Ok `Differential
-      | s -> (
-          match Arg.conv_parser forest_conv s with
-          | Ok f -> Ok (`F f)
-          | Error (`Msg e) -> Error (`Msg e))
-    in
-    let print ppf = function
-      | `F f -> Format.pp_print_string ppf (Cfg.forest_to_string f)
-      | `Differential -> Format.pp_print_string ppf "differential"
-    in
-    Arg.(
-      value
-      & opt (conv ~docv:"KIND" (parse, print)) (`F Cfg.Single)
-      & info [ "forest" ] ~docv:"KIND" ~doc:(fuzz_doc forest_flag))
-  in
-  let replay ~forest file =
+  let replay ~probes ~scheduler file =
     match Mck.Trace.load file with
     | Error e ->
         Printf.eprintf "cannot load %s: %s\n" file e;
         exit 2
     | Ok tr -> (
         Format.printf "replaying %s:@.%a@." file Mck.Trace.pp tr;
-        match forest with
+        match scheduler with
         | `Differential -> (
-            match Mck.Fuzz.run_forest_differential tr with
-            | Ok _ -> print_endline "trace passes: forest-identical"
+            match Mck.Fuzz.run_scheduler_differential ~probes tr with
+            | Ok _ -> print_endline "trace passes: scheduler-equivalent"
             | Error e ->
                 Printf.printf "reproduced: %s\n" e;
                 exit 1)
-        | `F _ -> (
-            match Mck.Fuzz.run_trace tr with
+        | `Full | `Incremental -> (
+            match Mck.Fuzz.run_trace ~probes tr with
             | Mck.Fuzz.Passed -> print_endline "trace passes: no violation"
             | Mck.Fuzz.Failed f ->
                 Format.printf "reproduced: %a@." Mck.Fuzz.pp_failure f;
@@ -748,7 +729,7 @@ let fuzz_cmd =
       exit 124
     end;
     match replay_file with
-    | Some file -> replay ~forest file
+    | Some file -> replay ~probes ~scheduler file
     | None -> (
         let modes =
           match mode with
@@ -778,21 +759,10 @@ let fuzz_cmd =
           file
         in
         let total = ref 0 in
-        if scheduler = `Differential && forest = `Differential then begin
-          Format.eprintf
-            "fuzz: --forest differential cannot be combined with another \
-             differential mode (run them as separate passes)@.";
-          exit 124
-        end;
         let trace_scheduler =
           match scheduler with
           | `Incremental -> Drtree.Config.Incremental
           | `Full | `Differential -> Drtree.Config.Full_sweep
-        in
-        let trace_forest =
-          match forest with
-          | `F f -> f
-          | `Differential -> Drtree.Config.Single
         in
         (* One trace stream per (mode, schedule) pair, seeded from
            [seed]. *)
@@ -806,50 +776,42 @@ let fuzz_cmd =
                     Mck.Fuzz.random_trace rng ~nodes ~ops ~mode:m ~transport
                       ~sched:sk ~drop ~dup ~cover_sweep:(not plant)
                       ~scheduler:trace_scheduler ~detector
-                      ~forest:trace_forest ()
+                      ~forest ()
                   in
                   f gen)
                 scheds)
             modes
         in
-        (* Every generated trace runs under both realizations of one
-           axis; a divergence is the counterexample, saved unshrunk (the
-           shrinker minimizes single-run failures). *)
-        let differential ~label ~agree ~prefix diff =
-          let failed = ref None in
-          each_stream (fun gen ->
-              let i = ref 0 in
-              while !i < traces && !failed = None && not (stop ()) do
-                let tr = gen !i in
-                (match diff tr with
-                | Ok _ -> incr total
-                | Error e -> failed := Some (tr, e));
-                incr i
-              done);
-          match !failed with
-          | None ->
-              Printf.printf "fuzz: %d trace(s) %s%s\n" !total agree
-                (if stop () then " (time cap reached)" else "")
-          | Some (tr, e) ->
-              Format.printf "%s differential FAILED: %s@.%a@." label e
-                Mck.Trace.pp tr;
-              let file = save_trace prefix tr in
-              Printf.printf "saved %s\n" file;
-              exit 1
-        in
-        match (forest, scheduler) with
-        | `Differential, _ ->
-            (* [Single] vs [Sharded {shards = 1}]: any divergence at
-               all — verdict, shape, or a single counter — is a
-               rendezvous-abstraction bug. *)
-            differential ~label:"forest" ~agree:"forest-identical"
-              ~prefix:"forest"
-              (Mck.Fuzz.run_forest_differential ~probes)
-        | `F _, `Differential ->
-            differential ~label:"scheduler" ~agree:"scheduler-equivalent"
-              ~prefix:"differential"
-              (Mck.Fuzz.run_scheduler_differential ~probes)
-        | `F _, (`Full | `Incremental) -> (
+        match scheduler with
+        | `Differential -> (
+            (* Every generated trace runs under both schedulers; a
+               divergence is the counterexample, saved unshrunk (the
+               shrinker minimizes single-run failures). *)
+            let failed = ref None in
+            each_stream (fun gen ->
+                let i = ref 0 in
+                while !i < traces && !failed = None && not (stop ()) do
+                  let tr = gen !i in
+                  (match Mck.Fuzz.run_scheduler_differential ~probes tr with
+                  | Ok _ -> incr total
+                  | Error e -> failed := Some (tr, e));
+                  incr i
+                done);
+            match !failed with
+            | None ->
+                Printf.printf "fuzz: %d trace(s) scheduler-equivalent%s\n"
+                  !total
+                  (if stop () then " (time cap reached)" else "")
+            | Some (tr, e) ->
+                Format.printf "scheduler differential FAILED: %s@.%a@." e
+                  Mck.Trace.pp tr;
+                let file = save_trace "differential" tr in
+                Printf.printf
+                  "saved %s\nreplay with: drtree_cli fuzz --replay %s \
+                   --scheduler differential\n"
+                  file file;
+                exit 1)
+        | `Full | `Incremental -> (
             let found = ref None in
             each_stream (fun gen ->
                 if !found = None && not (stop ()) then
@@ -886,7 +848,8 @@ let fuzz_cmd =
     Term.(
       const run $ seed_t $ traces_t $ ops_t $ nodes_t $ mode_t $ sched_t
       $ drop_t $ dup_t $ max_seconds_t $ out_t $ replay_t $ plant_t $ probes_t
-      $ fuzz_transport_t $ fuzz_scheduler_t $ fuzz_detector_t $ fuzz_forest_t)
+      $ fuzz_transport_t $ fuzz_scheduler_t $ fuzz_detector_t
+      $ forest_t fuzz_doc)
 
 let () =
   let doc = "stabilizing peer-to-peer spatial filters (DR-tree)" in

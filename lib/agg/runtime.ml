@@ -192,6 +192,18 @@ let merge_owner_root t q =
   in
   pick (coverage t q)
 
+(* The roots a query's subscription reaches: every covered shard's
+   designated root, or the global root when no covered shard has one
+   (the [merge_owner_root] fallback). *)
+let subscription_roots t q =
+  match
+    List.filter_map
+      (fun sh -> Access.designated_root_in t.net sh)
+      (coverage t q)
+  with
+  | [] -> Option.to_list (Access.designated_root t.net)
+  | roots -> roots
+
 let report_up t id s =
   let ns = node_state t id in
   let top = State.top s in
@@ -200,11 +212,10 @@ let report_up t id s =
       let q = Hashtbl.find ns.queries qid in
       let c = combined ns s qid in
       if State.is_root s top then begin
-        (* At one shard the root finalizes here — the pre-forest path,
-           bit-identical under [Config.forest = Single]. Under a
-           forest, finalization moves to the cross-shard merge step
-           after the height waves (the owner root must combine every
-           covered shard's partial first). *)
+        (* At one shard the root finalizes here. Under a forest,
+           finalization moves to the cross-shard merge step after the
+           height waves (the owner root must combine every covered
+           shard's partial first). *)
         if Access.shard_count t.net = 1 then
           Engine.inject t.net.Access.engine ~dst:q.Query.q_owner
             (Msg.Agg_result
@@ -288,9 +299,8 @@ let run_epoch t =
      query's merge owner (suppressed within the tolerance, like tree
      partials), then the owner combines its own tree with every
      covered peer's cached partial and finalizes. At one shard the
-     root already finalized inside [report_up] — this block never
-     runs, keeping [Config.forest = Single] (and [Sharded {shards =
-     1}]) bit-identical to the pre-forest system. *)
+     root already finalized inside [report_up] and this block never
+     runs: no merge message is sent. *)
   if Access.shard_count t.net > 1 then begin
     let qids = sorted_query_ids t.registry in
     List.iter
@@ -365,24 +375,10 @@ let register t ?(tct = 0.0) ~owner ~rect fn =
       q_owner = owner }
   in
   Hashtbl.replace t.registry qid q;
-  (* Fan the subscription out: at one shard the designated root (the
-     pre-forest path, bit-identical under [Single]); under a forest
-     every covered shard's root — the dual of the publish fan-out —
-     falling back to the global root when no covered shard is rooted
-     (it then finalizes the identity partial, DESIGN.md §15). *)
-  let targets =
-    if Access.shard_count t.net = 1 then
-      match Access.designated_root t.net with Some r -> [ r ] | None -> []
-    else
-      match
-        List.filter_map
-          (fun sh -> Access.designated_root_in t.net sh)
-          (coverage t q)
-      with
-      | [] -> (
-          match Access.designated_root t.net with Some r -> [ r ] | None -> [])
-      | roots -> roots
-  in
+  (* Fan the subscription out — the dual of the publish fan-out; a
+     global fallback root finalizes the identity partial (DESIGN.md
+     §15). *)
+  let targets = subscription_roots t q in
   List.iter
     (fun root ->
       Engine.inject t.net.Access.engine ~dst:root
@@ -548,44 +544,19 @@ let repair t =
      processes converge by copying queries down the repaired tree —
      the client registry seeds the roots, parents seed their children
      (descending top order makes one pass propagate a query down an
-     entire path). At one shard the seed target is the designated
-     root, verbatim the pre-forest path; under a forest every covered
-     shard's root (or the global fallback when none is rooted) — the
-     same targets [register] fans out to. *)
-  (if Access.shard_count t.net = 1 then
-     match Access.designated_root t.net with
-     | Some root when O.is_alive ov root ->
-         let rns = node_state t root in
-         Hashtbl.iter
-           (fun qid q ->
-             if not (Hashtbl.mem rns.queries qid) then
-               Hashtbl.replace rns.queries qid q)
-           t.registry
-     | Some _ | None -> ()
-   else
-     List.iter
-       (fun qid ->
-         let q = Hashtbl.find t.registry qid in
-         let roots =
-           match
-             List.filter_map
-               (fun sh -> Access.designated_root_in t.net sh)
-               (coverage t q)
-           with
-           | [] -> (
-               match Access.designated_root t.net with
-               | Some r -> [ r ]
-               | None -> [])
-           | roots -> roots
-         in
-         List.iter
-           (fun root ->
-             if O.is_alive ov root then
-               let rns = node_state t root in
-               if not (Hashtbl.mem rns.queries qid) then
-                 Hashtbl.replace rns.queries qid q)
-           roots)
-       (sorted_query_ids t.registry));
+     entire path). The seed targets are the roots [register] fans out
+     to. *)
+  List.iter
+    (fun qid ->
+      let q = Hashtbl.find t.registry qid in
+      List.iter
+        (fun root ->
+          if O.is_alive ov root then
+            let rns = node_state t root in
+            if not (Hashtbl.mem rns.queries qid) then
+              Hashtbl.replace rns.queries qid q)
+        (subscription_roots t q))
+    (sorted_query_ids t.registry);
   let by_top =
     List.sort
       (fun (_, a) (_, b) -> compare (State.top b) (State.top a))

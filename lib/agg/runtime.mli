@@ -10,14 +10,14 @@
     partial to the parent of its topmost instance — O(tree edges)
     messages per query per epoch instead of one message per producer.
     At one shard the designated root then finalizes the value to the
-    query owner. Under [Config.forest = Sharded] each covered shard
+    query owner. In a forest each covered shard
     (every shard whose Z-range intersects the query rectangle, the
     dual of the publish fan-out) climbs to its own root, peer shard
     roots announce their partials to the query's {e merge owner} — the
     root of the lowest-numbered covered shard, a pure function of the
     grid — in one [Agg_merge] message each, and the owner combines and
     finalizes (DESIGN.md §15). At one shard no merge message is ever
-    sent, keeping [Single] bit-identical to the pre-forest system.
+    sent.
 
     A report is {e suppressed} when it is within the query's temporal
     coherency tolerance [tct] of what the parent already caches

@@ -25,8 +25,8 @@ type net = {
          through {!mark} below *)
   rdv : Rendezvous.t;
       (* the rendezvous layer (DESIGN.md §14): which tree of the
-         forest a process homes on. [Single] (the default) is the
-         identity mapper — one shard, shard 0 *)
+         forest a process homes on; at one shard (the default) the
+         identity mapper — every process on shard 0 *)
   claimants : unit Node_id.Table.t array;
       (* cached root-claimant set, one table per shard, maintained by
          {!mark} (a process's claim can only change when its state is
@@ -71,7 +71,7 @@ type net = {
 (* The default rendezvous space, matching [Workload.Space.default]
    (lib/core cannot depend on lib/workload): the [0, 100]^2 square
    every workload generator and the fuzzer draw from. Only consulted
-   under [Config.forest = Sharded]; pass [?space] to shard a different
+   with more than one shard; pass [?space] to shard a different
    domain. *)
 let default_space =
   Rect.make2 ~x0:0.0 ~y0:0.0 ~x1:100.0 ~y1:100.0
@@ -185,7 +185,7 @@ let iter_all_ids net f =
 (* The shard a process homes on: a pure function of its immutable
    filter rectangle through the rendezvous mapper — probe-free (the
    membership log keeps crashed state readable), RNG-free, and [0] for
-   every process under [Single]. *)
+   every process at one shard. *)
 let home_of net id =
   match state net id with
   | Some s -> Rendezvous.home_shard net.rdv (State.filter s)
@@ -369,14 +369,13 @@ let attached_to v ~parent ~h =
 
 (* {2 Root discovery and the contact oracle}
 
-   All per-shard: under [Single] there is exactly one shard and every
-   body below collapses to the pre-forest code — the same list
-   traversals, the same RNG draws, the same fold orders — which is
-   what the forest-differential harness holds it to. *)
+   All per-shard: at one shard every body below collapses to the
+   paper's one-tree code — the same list traversals, the same RNG
+   draws, the same fold orders. *)
 
 (* A shard's live population. At one shard this is [size net] (every
    process homes on shard 0), so the cache-rescue condition below
-   matches the pre-forest one exactly. *)
+   is the one-tree one. *)
 let shard_size net shard =
   List.length (List.filter (fun id -> home_of net id = shard) (alive_ids net))
 
@@ -405,9 +404,8 @@ let root_claimants_in net shard =
   in
   List.sort Node_id.compare live
 
-(* Every claimant across the forest, ascending (the pre-forest
-   [root_claimants] — {!Invariant} and diagnostics still want the
-   global view). *)
+(* Every claimant across the forest, ascending ({!Invariant} and
+   diagnostics want the global view). *)
 let root_claimants net =
   List.sort Node_id.compare
     (List.concat
@@ -440,9 +438,9 @@ let designated_root_in net shard =
   best_claimant net (root_claimants_in net shard)
 
 (* The globally designated root: the largest-MBR winner across shard
-   winners — under [Single] exactly the pre-forest [designated_root],
-   under [Sharded] the fallback coordinator for forest-agnostic
-   consumers (the aggregation attach point, diagnostics). *)
+   winners — at one shard the tree's root, otherwise the fallback
+   coordinator for forest-agnostic consumers (the aggregation attach
+   point, diagnostics). *)
 let designated_root net =
   let winners =
     List.filter_map
@@ -459,8 +457,7 @@ let height_in net shard =
   | None -> -1
   | Some id -> ( match read net id with Some s -> State.top s | None -> -1)
 
-(* The forest's height: the tallest shard root. One shard = the
-   pre-forest height. *)
+(* The forest's height: the tallest shard root. *)
 let height net =
   let rec go best s =
     if s >= shard_count net then best
@@ -471,8 +468,8 @@ let height net =
 (* Get_Contact_Node (§3.2), scoped to a shard: a process already in
    that shard's structure. At one shard the filters keep everything,
    so the list the root oracle falls back on — and the single RNG draw
-   the random oracle makes, and the list it draws from — are exactly
-   the pre-forest ones. *)
+   the random oracle makes, and the list it draws from — are the
+   one-tree ones. *)
 let oracle net ~shard ~exclude =
   let in_shard id = id <> exclude && home_of net id = shard in
   match net.cfg.Config.oracle with

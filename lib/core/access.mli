@@ -58,8 +58,8 @@ val create :
     inter-process hop. Also installs the engine meter feeding
     {!Telemetry}'s per-kind traffic table. [space] (default
     {!default_space}) is the attribute space the rendezvous layer
-    partitions under [Config.forest = Sharded]; ignored under
-    [Single]. *)
+    partitions when there is more than one shard; ignored at one
+    shard. *)
 
 val is_alive : net -> Sim.Node_id.t -> bool
 
@@ -127,18 +127,17 @@ val rescan_claimants_in : net -> int -> unit
 
 (** {2 The rendezvous forest} (DESIGN.md §14)
 
-    Which DR-tree of the forest a process belongs to. Under
-    [Config.forest = Single] there is exactly one shard (number [0])
-    and everything below collapses to the pre-forest behavior, bit
-    for bit. *)
+    Which DR-tree of the forest a process belongs to. At one shard
+    (number [0], the default) everything below collapses to the
+    paper's one-tree behavior. *)
 
 val shard_count : net -> int
-(** Number of trees in the forest ([1] under [Single]). *)
+(** Number of trees in the forest. *)
 
 val home_of : net -> Sim.Node_id.t -> int
 (** The shard a process homes on: a pure function of its immutable
     filter through {!Rendezvous.home_shard} — probe-free, RNG-free,
-    [0] for never-spawned ids and under [Single]. *)
+    [0] for never-spawned ids and at one shard. *)
 
 val shard_size : net -> int -> int
 (** Live processes homed on the shard. *)
@@ -150,14 +149,14 @@ val intersecting_shards : net -> Geometry.Rect.t -> int list
 (** Every shard whose Z-range overlaps the rectangle, through
     {!Rendezvous.intersecting_shards}: the publish/subscribe fan-out
     set, and the coverage of a standing aggregate query (DESIGN.md
-    §15). Sorted ascending, duplicate-free, [[0]] under [Single]; a
+    §15). Sorted ascending, duplicate-free, [[0]] at one shard; a
     pure function of the grid — no probe, no RNG draw. *)
 
 val merge_owner_shard : net -> Geometry.Rect.t -> int
 (** The merge-owner rule of the forest-wide aggregation plane
     (DESIGN.md §15): the lowest-numbered intersecting shard. A pure
     function of the grid, so every process agrees on the owner without
-    coordination; [0] under [Single]. *)
+    coordination; [0] at one shard. *)
 
 (** {2 Direct neighbor reads} *)
 
@@ -231,10 +230,9 @@ val designated_root_in : net -> int -> Sim.Node_id.t option
     MBR (Fig. 6), ties broken by id. *)
 
 val designated_root : net -> Sim.Node_id.t option
-(** The largest-MBR winner across shard winners: under [Single] the
-    pre-forest designated root; under [Sharded] a forest-agnostic
-    fallback coordinator (the aggregation attach point,
-    diagnostics). *)
+(** The largest-MBR winner across shard winners: at one shard the
+    tree's designated root; otherwise a forest-agnostic fallback
+    coordinator (the aggregation attach point, diagnostics). *)
 
 val height_in : net -> int -> int
 (** The shard root's top height, [-1] when the shard is empty. *)

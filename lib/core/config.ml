@@ -49,17 +49,16 @@ let detector_of_string s =
           | _ -> Error (Printf.sprintf "bad heartbeat detector spec %S" s))
       | _ -> Error (Printf.sprintf "unknown detector %S" s))
 
-type forest = Single | Sharded of { shards : int }
+type forest = Sharded of { shards : int }
 
-let forest_to_string = function
-  | Single -> "single"
-  | Sharded { shards } -> Printf.sprintf "sharded:%d" shards
+let forest_to_string (Sharded { shards }) =
+  if shards = 1 then "single" else Printf.sprintf "sharded:%d" shards
 
 let max_shards = 4096
 
 let forest_of_string s =
   match s with
-  | "single" -> Ok Single
+  | "single" -> Ok (Sharded { shards = 1 })
   | s -> (
       match String.split_on_char ':' s with
       | [ "sharded"; k ] -> (
@@ -87,7 +86,7 @@ let default =
   { min_fill = 2; max_fill = 4; split = Rtree.Split.Quadratic;
     oracle = Root_oracle; cover_sweep = true; publish_ttl = 128;
     scheduler = Full_sweep; scan_fraction = 0.05; seen_capacity = 4096;
-    detector = Oracle; forest = Single }
+    detector = Oracle; forest = Sharded { shards = 1 } }
 
 let make ?(min_fill = default.min_fill) ?(max_fill = default.max_fill)
     ?(split = default.split) ?(oracle = default.oracle)
@@ -114,13 +113,10 @@ let make ?(min_fill = default.min_fill) ?(max_fill = default.max_fill)
         invalid_arg "Drtree.Config.make: heartbeat timeout_factor < 1";
       if fallbacks < 0 then
         invalid_arg "Drtree.Config.make: heartbeat fallbacks < 0");
-  (match forest with
-  | Single -> ()
-  | Sharded { shards } ->
-      if shards < 1 || shards > max_shards then
-        invalid_arg
-          (Printf.sprintf "Drtree.Config.make: shards outside 1..%d"
-             max_shards));
+  (let (Sharded { shards }) = forest in
+   if shards < 1 || shards > max_shards then
+     invalid_arg
+       (Printf.sprintf "Drtree.Config.make: shards outside 1..%d" max_shards));
   { min_fill; max_fill; split; oracle; cover_sweep; publish_ttl; scheduler;
     scan_fraction; seen_capacity; detector; forest }
 
@@ -138,6 +134,6 @@ let pp ppf c =
     | Heartbeat _ ->
         Printf.sprintf " detector=%s" (detector_to_string c.detector))
     (match c.forest with
-    | Single -> ""
+    | Sharded { shards = 1 } -> ""
     | Sharded _ -> Printf.sprintf " forest=%s" (forest_to_string c.forest))
     (if c.cover_sweep then "" else " [cover-sweep DISABLED]")

@@ -59,26 +59,24 @@ val default_heartbeat : detector
 (** [Heartbeat {period = 1.0; timeout_factor = 3; fallbacks = 2}]. *)
 
 (** How many independent DR-trees the overlay maintains (DESIGN.md
-    §14). [Single] is the paper's model — one global tree, one
-    designated root — and stays bit-identical to the pre-forest
-    system: the forest-differential harness in [lib/mck] proves exact
-    verdict, shape and fingerprint equality of [Sharded {shards = 1}]
-    vs [Single] on every trace. [Sharded] partitions the space by
-    Z-order into [shards] contiguous key ranges; each shard is its own
-    DR-tree with its own designated root, election scope and CHECK_*
-    sweep, and publish fans out to every other shard whose root MBR
-    contains the event. *)
-type forest = Single | Sharded of { shards : int }
+    §14). [Sharded {shards = 1}] (the default) is the paper's model —
+    one global tree, one designated root. With more shards the space
+    is partitioned by Z-order into [shards] contiguous key ranges;
+    each shard is its own DR-tree with its own designated root,
+    election scope and CHECK_* sweep, and publish fans out to every
+    other shard whose root MBR contains the event. *)
+type forest = Sharded of { shards : int }
 
 val forest_to_string : forest -> string
-(** ["single"], or ["sharded:<shards>"]. *)
+(** ["single"] at one shard, else ["sharded:<shards>"]. *)
 
 val forest_of_string : string -> (forest, string) result
-(** Accepts ["single"] or the ["sharded:K"] form
-    {!forest_to_string} emits, with [1 <= K <= max_shards]. *)
+(** Accepts ["single"] (one shard) or the ["sharded:K"] form, with
+    [1 <= K <= max_shards]; ["sharded:1"] is the same value as
+    ["single"]. *)
 
 val max_shards : int
-(** Upper bound on [Sharded] shard counts (4096): beyond the Z-order
+(** Upper bound on shard counts (4096): beyond the Z-order
     grid's cell count a shard would own no region. *)
 
 type t = {
@@ -119,17 +117,16 @@ type t = {
           pre-detector system; [Heartbeat] attaches [lib/fd]'s local
           heartbeat/timeout detector (DESIGN.md §13). *)
   forest : forest;
-      (** Rendezvous topology (DESIGN.md §14). [Single] (the default)
-          is the paper's one-tree model and is bit-identical to the
-          pre-forest system; [Sharded {shards}] maintains one DR-tree
-          per Z-order shard of the space, each with its own designated
+      (** Rendezvous topology (DESIGN.md §14). One shard (the default)
+          is the paper's one-tree model; more maintain one DR-tree per
+          Z-order shard of the space, each with its own designated
           root and election/repair scope. *)
 }
 
 val default : t
 (** [m = 2], [M = 4], quadratic split, root oracle, cover sweep on,
     [publish_ttl = 128], full-sweep scheduler, [scan_fraction = 0.05],
-    [seen_capacity = 4096], oracle detector, single forest. *)
+    [seen_capacity = 4096], oracle detector, one shard. *)
 
 val make :
   ?min_fill:int ->
@@ -150,6 +147,6 @@ val make :
     or wider, matching the R-tree root rule), [publish_ttl < 1],
     [scan_fraction] outside [0, 1], [seen_capacity < 1], a [Heartbeat] detector
     with [period <= 0], [timeout_factor < 1] or [fallbacks < 0], or a
-    [Sharded] forest with [shards] outside [1 .. max_shards]. *)
+    forest with [shards] outside [1 .. max_shards]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -112,7 +112,7 @@ let publish (net : Access.net) ~run ~from point =
      owning a subscriber that could match (a matching filter is inside
      its home root's MBR in legal states), descending only
      ([going_up = false]: a root has nowhere to climb). Never entered
-     under [Single]: the producer's home is the only shard. *)
+     at one shard: the producer's home is the only shard. *)
   let producer_home = Access.home_of net from in
   for shard = 0 to Access.shard_count net - 1 do
     if shard <> producer_home then

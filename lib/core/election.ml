@@ -77,7 +77,7 @@ let shrink_root (net : Access.net) =
         end
   in
   (* Per shard, ascending: each tree of the forest condenses its own
-     root (one shard under [Single] — the pre-forest body). *)
+     root (at one shard, the one tree's). *)
   for s = 0 to Access.shard_count net - 1 do
     match Access.designated_root_in net s with
     | None -> ()

@@ -8,11 +8,10 @@ type violation = {
   what : string;
 }
 
-(* [shard = None] prints exactly the pre-forest form — single-tree
-   overlays (and [Sharded {shards = 1}], which must stay byte-
-   identical to [Single]) never decorate; an actual forest annotates
-   every violation with the shard it belongs to, so shrunk fuzz
-   counterexamples name the tree as well as the process and height. *)
+(* [shard = None] prints the one-tree form — one-shard overlays never
+   decorate; an actual forest annotates every violation with the
+   shard it belongs to, so shrunk fuzz counterexamples name the tree
+   as well as the process and height. *)
 let pp_violation ppf v =
   match v.shard with
   | None -> Format.fprintf ppf "%a@h%d: %s" Node_id.pp v.node v.height v.what
@@ -46,7 +45,7 @@ let ancestors ov id =
    shard, where [home] is constantly 0). Global facts (per-shard root
    uniqueness, reachability) live in {!check} only. [pid] prints
    referenced processes — shard-annotated in an actual forest, the
-   bare pre-forest id otherwise. *)
+   bare id otherwise. *)
 let check_level ~m ~big_m ~read ~add ~pid ~home p s h =
   let top = State.top s in
   match State.level s h with
@@ -150,10 +149,9 @@ let check_level ~m ~big_m ~read ~add ~pid ~home p s h =
         not (Rect.equal l.State.mbr (State.filter s))
       then add (violation p h "leaf MBR differs from the filter")
 
-(* The shard printers/stampers: a single-tree overlay — [Single], or
-   [Sharded] with one shard — decorates nothing, so its violations
-   (records and rendered strings alike) are byte-identical to the
-   pre-forest checker's, which the forest differential demands. *)
+(* The shard printers/stampers: a one-shard overlay decorates
+   nothing, so its violations (records and rendered strings alike)
+   read as the paper's one-tree checker's. *)
 let forest_ctx ov =
   let net = Overlay.access ov in
   let home id = Access.home_of net id in
@@ -176,7 +174,7 @@ let check ov =
   let read id = if Overlay.is_alive ov id then Overlay.state ov id else None in
   (* Root uniqueness and coverage, per shard: every populated shard
      has exactly one claimant — its tree's root. One shard = the
-     pre-forest global root-uniqueness check, list orders included. *)
+     global root-uniqueness check. *)
   let shards = Overlay.shard_count ov in
   let claimants_by = Array.make shards [] in
   let population = Array.make shards 0 in

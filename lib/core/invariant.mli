@@ -25,9 +25,7 @@ type violation = {
   node : Sim.Node_id.t;
   height : int;
   shard : int option;
-      (** Home shard of [node]; [None] on a single-tree overlay
-          (forest [Single] or one shard), keeping pre-forest output
-          unchanged. *)
+      (** Home shard of [node]; [None] on a one-shard overlay. *)
   what : string;
 }
 

@@ -130,9 +130,8 @@ type t =
       partial : agg_partial;
     }
       (** one shard's combined partial for the epoch, sent by a peer
-          shard root to the query's merge-owner shard root under
-          [Config.forest = Sharded] (DESIGN.md §15); never sent at one
-          shard *)
+          shard root to the query's merge-owner shard root in a
+          forest (DESIGN.md §15); never sent at one shard *)
   | Heartbeat of { from : Sim.Node_id.t; seq : int }
       (** [lib/fd]: "I am alive" — sent each detector period to the
           sender's monitored peers (tree neighbors plus fallback-ring

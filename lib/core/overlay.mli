@@ -32,8 +32,8 @@ val create :
     stabilization rounds — see the message-loss tests and experiment
     E18. [space] (default {!Access.default_space}, the workload
     generators' [0, 100]^2 square) is the attribute space the
-    rendezvous layer shards under [Config.forest = Sharded]
-    (DESIGN.md §14); ignored under [Single]. *)
+    rendezvous layer shards when there is more than one shard
+    (DESIGN.md §14); ignored at one shard. *)
 
 val cfg : t -> Config.t
 val engine : t -> Message.t Sim.Engine.t
@@ -95,26 +95,26 @@ val designated_root : t -> Sim.Node_id.t option
 (** The designated root (Fig. 6): among the live processes whose
     topmost instance is its own parent, the one with the largest
     top-level MBR, ties broken by id. [None] when the overlay is
-    empty or no process claims the root role. Under
-    [Config.forest = Sharded] this is the largest-MBR winner across
-    shard roots — see {!shard_roots} for the per-tree view. *)
+    empty or no process claims the root role. With more than one
+    shard this is the largest-MBR winner across shard roots — see
+    {!shard_roots} for the per-tree view. *)
 
 val height : t -> int
 (** Height of the tree: the root's topmost instance height ([0] for a
-    single node; [-1] when empty/rootless). Under [Sharded]: the
-    tallest shard root. *)
+    single node; [-1] when empty/rootless). In a forest: the tallest
+    shard root. *)
 
 (** {2 The rendezvous forest} (DESIGN.md §14)
 
-    Under [Config.forest = Single] (the default) there is exactly one
-    shard, number [0], and these collapse to the single-tree view. *)
+    At one shard (the default), number [0], these collapse to the
+    single-tree view. *)
 
 val shard_count : t -> int
-(** Number of independent DR-trees ([1] under [Single]). *)
+(** Number of independent DR-trees. *)
 
 val shard_of : t -> Sim.Node_id.t -> int
 (** The shard a process homes on — a pure function of its immutable
-    filter through the rendezvous mapper ([0] under [Single]). *)
+    filter through the rendezvous mapper ([0] at one shard). *)
 
 val shard_roots : t -> Sim.Node_id.t option list
 (** Each shard's designated root, by shard number. *)

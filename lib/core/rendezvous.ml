@@ -1,23 +1,23 @@
 (* The rendezvous layer (DESIGN.md §14): which DR-tree a process
    belongs to, and which trees an event or query must reach.
 
-   [Single] is the paper's model — one global tree — and the layer
-   degenerates to the identity: every process homes on shard 0 and no
-   mapping machinery is ever consulted, so the code path is the
-   pre-forest one, bit for bit. [Sharded] partitions the space by the
-   Z-order grid of [Baselines.Zorder] into [shards] contiguous
-   key ranges: Z-order keeps each range spatially coherent (a shard is
-   a union of nearby cells), the ranges are a total, balanced and
-   deterministic partition of the key space, and the mapping is a pure
-   function of the grid — no RNG draw, no schedule decision — so any
-   two runs agree on every assignment. *)
+   One shard is the paper's model — one global tree — and the layer
+   degenerates to the identity: every process homes on shard 0, the
+   whole space is the one cell, and no mapping machinery is ever
+   consulted. More shards partition the space by the Z-order grid of
+   [Baselines.Zorder] into contiguous key ranges: Z-order keeps each
+   range spatially coherent (a shard is a union of nearby cells), the
+   ranges are a total, balanced and deterministic partition of the key
+   space, and the mapping is a pure function of the grid — no RNG
+   draw, no schedule decision — so any two runs agree on every
+   assignment. *)
 
 module Rect = Geometry.Rect
 module Zorder = Baselines.Zorder
 
 type t =
-  | Single
-  | Sharded of { grid : Zorder.t; shards : int }
+  | One of Rect.t  (* the space, the single cell *)
+  | Grid of { grid : Zorder.t; shards : int }
 
 (* The finest grid in [4, 10] bits/dim whose cell count covers the
    shard count: >= 16 cells per dimension keeps the per-shard regions
@@ -30,23 +30,21 @@ let grid_bits ~dims ~shards =
   in
   go 4
 
-let create ~forest ~space =
-  match forest with
-  | Config.Single -> Single
-  | Config.Sharded { shards } ->
-      let bits_per_dim = grid_bits ~dims:(Rect.dims space) ~shards in
-      let grid = Zorder.create ~bits_per_dim ~space () in
-      (* More shards than cells would leave shards owning no region;
-         Config.max_shards <= 16^2 cells at the 2-D default, so this
-         only triggers on deliberately tiny custom spaces. *)
-      let shards = min shards (Zorder.total_cells grid) in
-      Sharded { grid; shards }
+let create ~forest:(Config.Sharded { shards }) ~space =
+  if shards = 1 then One space
+  else
+    let bits_per_dim = grid_bits ~dims:(Rect.dims space) ~shards in
+    let grid = Zorder.create ~bits_per_dim ~space () in
+    (* More shards than cells would leave shards owning no region;
+       Config.max_shards <= 16^2 cells at the 2-D default, so this
+       only triggers on deliberately tiny custom spaces. *)
+    Grid { grid; shards = min shards (Zorder.total_cells grid) }
 
-let shards = function Single -> 1 | Sharded { shards; _ } -> shards
+let shards = function One _ -> 1 | Grid { shards; _ } -> shards
 
 let total_cells = function
-  | Single -> 1
-  | Sharded { grid; _ } -> Zorder.total_cells grid
+  | One _ -> 1
+  | Grid { grid; _ } -> Zorder.total_cells grid
 
 (* Contiguous Z-ranges: cell [k] of [C] total belongs to shard
    [k * S / C]. Total (every key maps), balanced (ranges differ by at
@@ -64,24 +62,24 @@ let dims_match grid r = Rect.dims r = Zorder.dims grid
    accept any filter the client hands it. *)
 let home_shard t r =
   match t with
-  | Single -> 0
-  | Sharded { grid; shards } ->
+  | One _ -> 0
+  | Grid { grid; shards } ->
       if dims_match grid r then
         shard_of_key grid shards (Zorder.point_key grid (Rect.center r))
       else 0
 
 let point_shard t p =
   match t with
-  | Single -> 0
-  | Sharded { grid; shards } -> shard_of_key grid shards (Zorder.point_key grid p)
+  | One _ -> 0
+  | Grid { grid; shards } -> shard_of_key grid shards (Zorder.point_key grid p)
 
 (* Every shard whose region overlaps the rectangle — the
    publish/subscribe fan-out set. Sorted ascending and duplicate-free
    so iteration order is canonical. *)
 let intersecting_shards t r =
   match t with
-  | Single -> [ 0 ]
-  | Sharded { grid; shards } ->
+  | One _ -> [ 0 ]
+  | Grid { grid; shards } ->
       if dims_match grid r then
         List.sort_uniq compare
           (List.map (shard_of_key grid shards) (Zorder.rect_keys grid r))
@@ -91,37 +89,30 @@ let intersecting_shards t r =
    test_forest.ml (a shard's region is a union of cells, not one box,
    so exact containment tests must scan cells). *)
 
+let check_cell t k =
+  if k < 0 || k >= total_cells t then
+    invalid_arg "Rendezvous: cell key out of range"
+
 let shard_of_cell t k =
-  match t with
-  | Single -> 0
-  | Sharded { grid; shards } ->
-      if k < 0 || k >= Zorder.total_cells grid then
-        invalid_arg "Rendezvous.shard_of_cell: key out of range";
-      shard_of_key grid shards k
+  check_cell t k;
+  match t with One _ -> 0 | Grid { grid; shards } -> shard_of_key grid shards k
 
 let cell_rect t k =
-  match t with
-  | Single -> None
-  | Sharded { grid; _ } -> Some (Zorder.cell_rect grid k)
+  check_cell t k;
+  match t with One space -> space | Grid { grid; _ } -> Zorder.cell_rect grid k
 
-(* The MBR of a shard's cells, for diagnostics ([None] under [Single]
-   or out of range; contiguous Z ranges are spatially coherent but not
-   boxes, so this over-approximates the true region). *)
+(* The MBR of a shard's cells, for diagnostics ([None] out of range;
+   contiguous Z ranges are spatially coherent but not boxes, so this
+   over-approximates the true region). *)
 let shard_region t s =
-  match t with
-  | Single -> None
-  | Sharded { grid; shards } ->
-      if s < 0 || s >= shards then None
-      else begin
-        let acc = ref None in
-        for k = 0 to Zorder.total_cells grid - 1 do
-          if shard_of_key grid shards k = s then
-            let cell = Zorder.cell_rect grid k in
-            acc :=
-              Some
-                (match !acc with
-                | None -> cell
-                | Some r -> Rect.union r cell)
-        done;
-        !acc
-      end
+  if s < 0 || s >= shards t then None
+  else begin
+    let acc = ref None in
+    for k = 0 to total_cells t - 1 do
+      if shard_of_cell t k = s then
+        let cell = cell_rect t k in
+        acc :=
+          Some (match !acc with None -> cell | Some r -> Rect.union r cell)
+    done;
+    !acc
+  end

@@ -145,8 +145,8 @@ let check_children v h =
        without this guard a doubly-corrupted — but mutually coherent —
        cross-shard edge would be a stable illegal state (the
        disjointness condition of Invariant.check). [home_of] is
-       probe-free and constant under [Single], so the keep-test's
-       observable reads are exactly the pre-forest ones. *)
+       probe-free and constant at one shard, so the keep-test's
+       observable reads are the one-tree ones. *)
     let keep c =
       Node_id.equal c p
       || (Access.claims_parent v ~child:c ~h:(h - 1)

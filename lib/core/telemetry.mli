@@ -136,9 +136,8 @@ val record_agg_stale : t -> unit
 
 val record_agg_merge : t -> unit
 (** One cross-shard [Agg_merge] partial actually sent by a peer shard
-    root to a query's merge owner (DESIGN.md §15). Always [0] under
-    [Config.forest = Single] — the merge plane never runs at one
-    shard. Suppressed merges count through {!record_agg_suppressed},
+    root to a query's merge owner (DESIGN.md §15). Always [0] at one
+    shard — the merge plane never runs there. Suppressed merges count through {!record_agg_suppressed},
     like tree partials. *)
 
 val agg_sent : t -> int

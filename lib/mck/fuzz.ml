@@ -57,9 +57,8 @@ let pp_summary ppf s =
     s.final_legal
 
 (* Counter fingerprint of a run: every telemetry and engine counter
-   that could observe a difference in an execution. The forest
-   differential and the golden corpus in test_mck.ml compare these
-   {e exactly} — every RNG draw is seeded and every
+   that could observe a difference in an execution. The golden corpus
+   in test_mck.ml compares these {e exactly} — every RNG draw is seeded and every
    iteration-order-sensitive path sorts before use, so any divergence
    at all is a bug, never schedule noise (contrast the looser
    cross-scheduler comparison below). *)
@@ -486,53 +485,6 @@ let run_scheduler_differential ?probes (tr : Trace.t) =
          pp_summary s_full pp_summary s_inc)
   else Ok (o_full, s_full)
 
-(* {2 Forest differential}
-
-   [Sharded] with one shard must be the single tree: the whole forest
-   machinery — the rendezvous grid, the per-shard claimant caches, the
-   shard-scoped oracle/election/repair guards, the cross-shard publish
-   fan-out — must reduce to exactly the pre-forest code path at one
-   shard. The comparison is exact: exact verdict, exact shape, exact
-   counter fingerprint down to the byte accounting, on every trace,
-   faulty or hostile included. The forest touches no RNG draw and no
-   schedule decision at one shard (the only oracle draw filters a
-   one-shard population, i.e. everyone), so any divergence is a
-   rendezvous-abstraction bug (DESIGN.md §14). *)
-
-let run_forest_differential ?probes (tr : Trace.t) =
-  let of_forest forest = { tr with Trace.forest } in
-  let o_s, s_s, f_s =
-    run_trace_full ?probes (of_forest Drtree.Config.Single)
-  in
-  let o_1, s_1, f_1 =
-    run_trace_full ?probes
-      (of_forest (Drtree.Config.Sharded { shards = 1 }))
-  in
-  let describe = function
-    | Passed -> "pass"
-    | Failed f -> Format.asprintf "fail at %a: %s" pp_location f.at f.what
-  in
-  let outcomes_equal =
-    match (o_s, o_1) with
-    | Passed, Passed -> true
-    | Failed a, Failed b -> a.at = b.at && a.what = b.what
-    | Passed, Failed _ | Failed _, Passed -> false
-  in
-  if not outcomes_equal then
-    Error
-      (Printf.sprintf "forest verdicts differ: single=%s sharded:1=%s"
-         (describe o_s) (describe o_1))
-  else if s_s <> s_1 then
-    Error
-      (Format.asprintf "forest shapes differ: single=%a sharded:1=%a"
-         pp_summary s_s pp_summary s_1)
-  else if f_s <> f_1 then
-    Error
-      (Format.asprintf
-         "forest fingerprints differ:@ single=%a@ sharded:1=%a" pp_fingerprint
-         f_s pp_fingerprint f_1)
-  else Ok (o_s, s_s)
-
 (* {2 Random traces} *)
 
 let random_rect rng =
@@ -559,7 +511,7 @@ let random_trace rng ?(nodes = 8) ?(ops = 10) ?(mode = Trace.Shared)
     ?(dup = 0.0) ?(cover_sweep = true)
     ?(scheduler = Drtree.Config.Full_sweep)
     ?(detector = Drtree.Config.Oracle)
-    ?(forest = Drtree.Config.Single) () =
+    ?(forest = Drtree.Config.default.forest) () =
   let seed = 1 + Rng.int rng 1_000_000 in
   let n_pre = 3 + Rng.int rng (max 1 (nodes - 2)) in
   {

@@ -111,21 +111,6 @@ val run_scheduler_differential :
     a scheduler-equivalence counterexample; [Ok] carries the full-sweep
     run's outcome and shape. *)
 
-val run_forest_differential :
-  ?probes:int -> Trace.t -> (outcome * summary, string) result
-(** Run the trace twice — under [Config.Single] and
-    [Config.Sharded {shards = 1}] (overriding its [forest] field) —
-    and require bit-identical observables on {e every} trace, faulty
-    or hostile included: exact verdict (failure location and message),
-    exact final shape including height, and exact {!fingerprint} down
-    to the byte accounting. A one-shard forest runs the whole rendezvous machinery (grid,
-    per-shard claimant caches, shard-scoped election and repair
-    guards, cross-shard fan-out loops) yet must reduce to exactly the
-    pre-forest single tree; the forest touches no RNG draw and no
-    schedule decision at one shard, so any [Error] is a
-    rendezvous-abstraction bug (DESIGN.md §14). [Ok] carries the
-    single run's outcome and shape. *)
-
 val random_rect : Sim.Rng.t -> Geometry.Rect.t
 (** Uniform filter in the default \[0,100\]² space, extent 1–10 per
     axis. *)

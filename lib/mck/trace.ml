@@ -137,7 +137,7 @@ let default =
     cover_sweep = true;
     scheduler = Drtree.Config.Full_sweep;
     detector = Drtree.Config.Oracle;
-    forest = Drtree.Config.Single;
+    forest = Drtree.Config.default.forest;
     prelude = [];
     ops = [];
   }

@@ -69,11 +69,9 @@ type t = {
   forest : Drtree.Config.forest;
       (** which rendezvous forest the replayed overlay runs
           (DESIGN.md §14); traces without a [forest] line parse as
-          [Single] (backward-compatible — the pre-forest single tree,
-          which [Sharded] with one shard matches bit-for-bit, enforced
-          by the forest differential). Under shards [> 1] the
-          aggregation-exactness assert is skipped: [lib/agg] attaches
-          to one tree only. *)
+          one shard (backward-compatible — the paper's single tree),
+          and [forest single] and [forest sharded:1] are the same
+          directive. *)
   prelude : Geometry.Rect.t list;
   ops : op list;
 }
@@ -81,7 +79,7 @@ type t = {
 val default : t
 (** Seed 1, shared mode, inproc transport, [m = 2], [M = 4], FIFO
     schedule, no faults, cover sweep on, full-sweep scheduler, oracle
-    detector, single forest, empty prelude and ops. *)
+    detector, one shard, empty prelude and ops. *)
 
 val pp_op : Format.formatter -> op -> unit
 val pp : Format.formatter -> t -> unit

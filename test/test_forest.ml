@@ -7,10 +7,8 @@
    every grid cell — the mapper is the only routing authority in
    forest mode, so these properties carry the zero-false-negative
    argument. Then the overlay: shard assignment is deterministic, a
-   sharded build converges to a
-   legal forest with exact delivery, and a one-shard forest is
-   indistinguishable from [Single] down to the telemetry fingerprint
-   (the mck forest differential). *)
+   sharded build converges to a legal forest with exact delivery, and
+   the default one-shard build is a legal tree with exact delivery. *)
 
 module R = Geometry.Rect
 module P = Geometry.Point
@@ -20,8 +18,6 @@ module Cfg = Drtree.Config
 module Rdv = Drtree.Rendezvous
 module Rng = Sim.Rng
 module Sg = Workload.Subscription_gen
-module Trace = Mck.Trace
-module Fuzz = Mck.Fuzz
 
 let check_bool msg expected actual = Alcotest.(check bool) msg expected actual
 let check_int msg expected actual = Alcotest.(check int) msg expected actual
@@ -108,10 +104,8 @@ let mapper_fanout =
       let rdv = mapper requested in
       let brute = ref [] in
       for c = 0 to Rdv.total_cells rdv - 1 do
-        match Rdv.cell_rect rdv c with
-        | Some cell when R.intersects cell r ->
-            brute := Rdv.shard_of_cell rdv c :: !brute
-        | Some _ | None -> ()
+        if R.intersects (Rdv.cell_rect rdv c) r then
+          brute := Rdv.shard_of_cell rdv c :: !brute
       done;
       let brute = List.sort_uniq compare !brute in
       let got = Rdv.intersecting_shards rdv r in
@@ -121,16 +115,21 @@ let mapper_fanout =
           (String.concat ";" (List.map string_of_int brute));
       true)
 
-(* Totality fallbacks: [Single] is the identity and a
-   dimension-mismatched filter degrades safely (home 0, all-shard
-   fan-out) instead of raising. *)
+(* Totality fallbacks: one shard is the identity (the whole space is
+   its one cell) and a dimension-mismatched filter degrades safely
+   (home 0, all-shard fan-out) instead of raising. *)
 let test_mapper_edges () =
-  let single = Rdv.create ~forest:Cfg.Single ~space in
-  check_int "Single has one shard" 1 (Rdv.shards single);
-  check_int "Single has one cell" 1 (Rdv.total_cells single);
-  check_bool "Single cell has no rect" true (Rdv.cell_rect single 0 = None);
-  check_bool "Single fan-out is [0]" true
-    (Rdv.intersecting_shards single space = [ 0 ]);
+  let one = mapper 1 in
+  check_int "one shard" 1 (Rdv.shards one);
+  check_int "one cell" 1 (Rdv.total_cells one);
+  check_bool "the cell is the space" true (R.equal (Rdv.cell_rect one 0) space);
+  check_bool "the region is the space" true
+    (Rdv.shard_region one 0 = Some space);
+  check_bool "fan-out is [0]" true (Rdv.intersecting_shards one space = [ 0 ]);
+  (try
+     ignore (Rdv.cell_rect one 1);
+     Alcotest.fail "cell 1 of a one-shard mapper must be rejected"
+   with Invalid_argument _ -> ());
   let rdv = mapper 5 in
   let r3 =
     R.make ~low:[| 1.0; 1.0; 1.0 |] ~high:[| 2.0; 2.0; 2.0 |]
@@ -202,49 +201,54 @@ let test_sharded_build_exact () =
       (Sim.Node_id.Set.equal report.O.delivered report.O.matched)
   done
 
-(* --- Sharded{1} = Single, through the mck differential -------------------- *)
+(* --- One shard ------------------------------------------------------------- *)
 
-let test_forest_differential () =
-  let base = 46_000 in
-  for i = 0 to 14 do
-    let rng = Rng.make (base + i) in
-    let tr = Fuzz.random_trace rng () in
-    match Fuzz.run_forest_differential ~probes:2 tr with
-    | Ok _ -> ()
-    | Error msg ->
-        Alcotest.failf "forest divergence on seed %d: %s@.%a" (base + i) msg
-          Trace.pp tr
-  done
-
-let test_forest_differential_hostile () =
-  for i = 0 to 7 do
-    let rng = Rng.make (47_000 + i) in
-    let tr =
-      Fuzz.random_trace rng ~transport:Trace.Wire ~scheduler:Cfg.Incremental
-        ~sched:Mck.Schedule.Random ~drop:0.1 ()
-    in
-    match Fuzz.run_forest_differential ~probes:2 tr with
-    | Ok _ -> ()
-    | Error msg ->
-        Alcotest.failf "hostile forest divergence on seed %d: %s" (47_000 + i)
-          msg
+(* The default forest is one shard: every process homes on shard 0,
+   there is one root slot, and the build is a legal tree that
+   publishes exactly, whatever the filter. *)
+let test_one_shard_build () =
+  let ov = build_sharded ~shards:1 ~seed:43 80 in
+  check_int "one shard" 1 (O.shard_count ov);
+  check_int "one root slot" 1 (List.length (O.shard_roots ov));
+  check_bool "legal tree" true (Inv.check ov = []);
+  let ids = O.alive_ids ov in
+  List.iter (fun id -> check_int "home is shard 0" 0 (O.shard_of ov id)) ids;
+  let rng = Rng.make 4343 in
+  for _ = 1 to 15 do
+    let p = P.make2 (Rng.range rng 0.0 100.0) (Rng.range rng 0.0 100.0) in
+    let report = O.publish ov ~from:(Rng.pick rng ids) p in
+    check_int "zero false negatives" 0 report.O.false_negatives;
+    check_bool "delivered = matched" true
+      (Sim.Node_id.Set.equal report.O.delivered report.O.matched)
   done
 
 (* --- Config ---------------------------------------------------------------- *)
 
 let test_config_forest () =
-  check_bool "default is the single tree" true
-    (Cfg.default.Cfg.forest = Cfg.Single);
-  let roundtrip f =
-    match Cfg.forest_of_string (Cfg.forest_to_string f) with
-    | Ok f' -> check_bool "forest string round-trips" true (f = f')
-    | Error e -> Alcotest.failf "forest_of_string: %s" e
+  let one = Cfg.Sharded { shards = 1 } in
+  check_bool "default is one shard" true (Cfg.default.Cfg.forest = one);
+  let parse s =
+    match Cfg.forest_of_string s with
+    | Ok f -> f
+    | Error e -> Alcotest.failf "forest_of_string %S: %s" s e
   in
-  roundtrip Cfg.Single;
-  roundtrip (Cfg.Sharded { shards = 1 });
+  check_bool "single is one shard" true (parse "single" = one);
+  check_bool "sharded:1 is one shard" true (parse "sharded:1" = one);
+  Alcotest.(check string) "one shard prints as single" "single"
+    (Cfg.forest_to_string (parse "sharded:1"));
+  let roundtrip f =
+    check_bool "forest string round-trips" true
+      (parse (Cfg.forest_to_string f) = f)
+  in
+  roundtrip one;
+  roundtrip (Cfg.Sharded { shards = 2 });
   roundtrip (Cfg.Sharded { shards = Cfg.max_shards });
-  check_bool "garbage is rejected" true
-    (Result.is_error (Cfg.forest_of_string "sharded:zero"));
+  List.iter
+    (fun s ->
+      check_bool (s ^ " is rejected") true
+        (Result.is_error (Cfg.forest_of_string s)))
+    [ "sharded:zero"; "sharded:0";
+      Printf.sprintf "sharded:%d" (Cfg.max_shards + 1) ];
   (try
      ignore (Cfg.make ~forest:(Cfg.Sharded { shards = 0 }) ());
      Alcotest.fail "shards=0 must be rejected"
@@ -272,12 +276,10 @@ let () =
           Alcotest.test_case "sharded build legal, delivery exact" `Quick
             test_sharded_build_exact;
         ] );
-      ( "differential",
+      ( "single-shard",
         [
-          Alcotest.test_case "15 random traces forest-identical" `Quick
-            test_forest_differential;
-          Alcotest.test_case "8 hostile wire traces forest-identical" `Quick
-            test_forest_differential_hostile;
+          Alcotest.test_case "default build legal, delivery exact" `Quick
+            test_one_shard_build;
         ] );
       ( "config",
         [ Alcotest.test_case "forest knob" `Quick test_config_forest ] );

@@ -156,10 +156,7 @@ let golden_trace i =
   let detector =
     if i land 4 = 0 then Drtree.Config.Oracle else Drtree.Config.default_heartbeat
   in
-  let forest =
-    if i land 8 = 0 then Drtree.Config.Single
-    else Drtree.Config.Sharded { shards = 2 }
-  in
+  let forest = Drtree.Config.Sharded { shards = 1 + ((i lsr 3) land 1) } in
   let mode, sched, drop, dup =
     match i / 16 with
     | 0 -> (Trace.Shared, Schedule.Fifo, 0.0, 0.0)
@@ -370,6 +367,34 @@ let test_codec_save_load () =
             (Trace.to_string exemplar) (Trace.to_string t)
       | Error e -> Alcotest.fail e)
 
+(* One shard has two spellings in trace files: [forest single] (what
+   the codec writes) and [forest sharded:1]. Both parse to the same
+   value and replay to the same verdict, shape and fingerprint. *)
+let test_codec_forest_one_shard () =
+  let tr =
+    Fuzz.random_trace (Sim.Rng.make 46_000) ~transport:Trace.Wire ~drop:0.1 ()
+  in
+  let text = Trace.to_string tr in
+  let sharded_1 =
+    String.concat "\n"
+      (List.map
+         (fun l -> if l = "forest single" then "forest sharded:1" else l)
+         (String.split_on_char '\n' text))
+  in
+  check_bool "text carries forest sharded:1" true (sharded_1 <> text);
+  let replay text =
+    match Trace.of_string text with
+    | Ok t ->
+        let outcome, summary, fp = Fuzz.run_trace_full ~probes:2 t in
+        Format.asprintf "%s | %a | %a" (outcome_str outcome) Fuzz.pp_summary
+          summary Fuzz.pp_fingerprint fp
+    | Error e -> Alcotest.failf "trace rejected: %s" e
+  in
+  (match Trace.of_string sharded_1 with
+  | Ok t -> check_string "re-serialized as forest single" text (Trace.to_string t)
+  | Error e -> Alcotest.fail e);
+  check_string "same fingerprint" (replay text) (replay sharded_1)
+
 (* --- Shrinker ------------------------------------------------------------------- *)
 
 let test_shrink_requires_failure () =
@@ -431,6 +456,8 @@ let () =
           Alcotest.test_case "rejects garbage" `Quick
             test_codec_rejects_garbage;
           Alcotest.test_case "save/load" `Quick test_codec_save_load;
+          Alcotest.test_case "forest sharded:1 replays as single" `Quick
+            test_codec_forest_one_shard;
           QCheck_alcotest.to_alcotest codec_detector_period_exact;
         ] );
       ( "shrinker",
